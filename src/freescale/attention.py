@@ -4,8 +4,6 @@ overlap-averaged reconstruction, and frequency-split scale fusion.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,24 +84,26 @@ class PatchGrid:
 
 
 def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
-    """Single-head self-attention over the H*W spatial tokens of a [1,C,H,W]
-    map, followed by the output projection. Position-free by construction.
+    """Single-head self-attention over the H*W spatial tokens of each map in
+    an [N,C,H,W] batch (the N maps attend independently), followed by the
+    output projection. Position-free by construction.
     """
     h_in = as_f32(h_in)
-    if h_in.ndim != 4 or h_in.shape[0] != 1:
-        raise ValueError(f"expected [1,C,H,W], got shape {h_in.shape}")
-    _, c, hh, ww = h_in.shape
+    if h_in.ndim != 4:
+        raise ValueError(f"expected [N,C,H,W], got shape {h_in.shape}")
+    n, c, hh, ww = h_in.shape
     if c != weights.dim:
         raise ValueError(f"channel count {c} != attention dim {weights.dim}")
-    tokens = h_in.reshape(c, hh * ww).T  # [tokens, C]
+    tokens = h_in.reshape(n, c, hh * ww).transpose(0, 2, 1)  # [N, tokens, C]
     q = linear(tokens, weights.w_q)
     k = linear(tokens, weights.w_k)
     v = linear(tokens, weights.w_v)
-    scores = (q.astype(np.float64) @ k.astype(np.float64).T) / np.sqrt(float(weights.dim))
-    attn = softmax_rows(scores.astype(np.float32))
-    out = attn.astype(np.float64) @ v.astype(np.float64)
+    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1)
+    scores = scores / np.sqrt(float(weights.dim))
+    attn = softmax_rows(scores.astype(np.float32).reshape(n * hh * ww, hh * ww))
+    out = attn.reshape(n, hh * ww, hh * ww).astype(np.float64) @ v.astype(np.float64)
     out = linear(out.astype(np.float32), weights.w_o)
-    return out.T.reshape(1, c, hh, ww)
+    return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
 
 
 def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> list[np.ndarray]:
@@ -152,17 +152,6 @@ def scale_fusion(h_global: np.ndarray, h_local: np.ndarray, blur: BlurSpec) -> n
     return out.astype(np.float32)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FREESCALE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
 def fused_attention(
     h_in: np.ndarray,
     weights: AttentionWeights,
@@ -170,19 +159,12 @@ def fused_attention(
     blur: BlurSpec,
 ) -> np.ndarray:
     """Scale-fused self-attention: global attention over the whole map,
-    patch-local attention reassembled by overlap averaging, fused per band.
+    patch-local attention (one batched call over the grid's crops)
+    reassembled by overlap averaging, fused per band.
     """
     h_global = self_attention(h_in, weights)
-    patches = shifted_crop_sampling(h_in, grid)
-    workers = _worker_count()
-    if workers > 1 and len(patches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map preserves submission order; reconstruction then reduces in
-            # row-major patch order, keeping the result bitwise reproducible
-            attended = list(pool.map(lambda p: self_attention(p, weights), patches))
-    else:
-        attended = [self_attention(p, weights) for p in patches]
-    h_local = reconstruct_average(attended, grid)
+    attended = self_attention(np.concatenate(shifted_crop_sampling(h_in, grid)), weights)
+    h_local = reconstruct_average(list(attended[:, None]), grid)
     return scale_fusion(h_global, h_local, blur)
 
 

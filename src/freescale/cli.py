@@ -36,7 +36,10 @@ def _load_config(path: str) -> CascadeConfig:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return CascadeConfig.from_dict(raw)
+    try:
+        return CascadeConfig.from_dict(raw)
+    except (ValueError, TypeError) as e:  # ConfigError is a ValueError
+        raise ConfigError(str(e)) from e
 
 
 def _write_png(path: Path, image: np.ndarray) -> bool:

@@ -172,15 +172,19 @@ def prompt_embedding(prompt: str, cond_dim: int) -> np.ndarray:
     return rng.standard_normal(cond_dim).astype(np.float32)
 
 
-def _add_channel_bias(h: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return (h + bias[None, :, None, None]).astype(np.float32)
-
-
 def _avg_pool2(h: np.ndarray) -> np.ndarray:
     n, c, hh, ww = h.shape
     return (
         h.reshape(n, c, hh // 2, 2, ww // 2, 2).astype(np.float64).mean(axis=(3, 5))
     ).astype(np.float32)
+
+
+def _conv_block(h, e, weights: WeightSet, name: str, dilation: int) -> np.ndarray:
+    """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU."""
+    h = _silu(conv2d(_channel_norm(h), weights.kernel(f"{name}.conv_a"), dilation))
+    bias = linear(e[None, :], weights[f"{name}.emb.w"], weights[f"{name}.emb.b"])[0]
+    h = (h + bias[None, :, None, None]).astype(np.float32)
+    return _silu(conv2d(h, weights.kernel(f"{name}.conv_b"), dilation))
 
 
 def predict_noise(
@@ -233,19 +237,11 @@ def predict_noise(
     h = conv2d(z_t, weights.kernel("stem"), 1)
     skips = []
     for i in range(cfg.down_blocks):
-        h = _channel_norm(h)
-        h = _silu(conv2d(h, weights.kernel(f"down{i}.conv_a"), dil["down"]))
-        bias = linear(e[None, :], weights[f"down{i}.emb.w"], weights[f"down{i}.emb.b"])[0]
-        h = _add_channel_bias(h, bias)
-        h = _silu(conv2d(h, weights.kernel(f"down{i}.conv_b"), dil["down"]))
+        h = _conv_block(h, e, weights, f"down{i}", dil["down"])
         skips.append(h)
         h = _avg_pool2(h)
 
-    h = _channel_norm(h)
-    h = _silu(conv2d(h, weights.kernel("mid.conv_a"), dil["mid"]))
-    bias = linear(e[None, :], weights["mid.emb.w"], weights["mid.emb.b"])[0]
-    h = _add_channel_bias(h, bias)
-    h = _silu(conv2d(h, weights.kernel("mid.conv_b"), dil["mid"]))
+    h = _conv_block(h, e, weights, "mid", dil["mid"])
     attn_w = AttentionWeights(
         weights["mid.attn.w_q"],
         weights["mid.attn.w_k"],
@@ -260,12 +256,7 @@ def predict_noise(
 
     for i in reversed(range(cfg.down_blocks)):
         h = upsample(h, 2, "nearest")
-        h = np.concatenate([h, skips[i]], axis=1)
-        h = _channel_norm(h)
-        h = _silu(conv2d(h, weights.kernel(f"up{i}.conv_a"), dil["up"]))
-        bias = linear(e[None, :], weights[f"up{i}.emb.w"], weights[f"up{i}.emb.b"])[0]
-        h = _add_channel_bias(h, bias)
-        h = _silu(conv2d(h, weights.kernel(f"up{i}.conv_b"), dil["up"]))
+        h = _conv_block(np.concatenate([h, skips[i]], axis=1), e, weights, f"up{i}", dil["up"])
 
     return conv2d(_channel_norm(h), weights.kernel("head"), 1)
 

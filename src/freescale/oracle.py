@@ -9,6 +9,7 @@ code paths.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,13 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
     """
     rng = np.random.default_rng(7)
     max_dev = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal((1, 2, 9, 9)).astype(np.float32)
-        k = Kernel2D(rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3))
-        dev = float(np.max(np.abs(conv2d(x, k, 1) - _reference_conv2d(x, k, 1))))
+    # batches of two non-square maps; on the 3x4 map at dilation 5 every
+    # off-centre tap reads only padding
+    cases = itertools.product(((1, 1), (3, 3), (5, 3)), (1, 2, 3, 5), ((7, 11), (3, 4)))
+    for (kh, kw), d, (h, w) in cases:
+        x = rng.standard_normal((2, 2, h, w)).astype(np.float32)
+        k = Kernel2D(rng.standard_normal((3, 2, kh, kw)), rng.standard_normal(3))
+        dev = float(np.max(np.abs(conv2d(x, k, d) - _reference_conv2d(x, k, d))))
         max_dev = max(max_dev, dev)
     # commutation: dilated conv on nearest-upsampled input matches standard
     # conv on the original at interior sampled positions

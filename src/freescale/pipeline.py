@@ -46,6 +46,11 @@ class NumericError(RuntimeError):
     """Non-finite values encountered during generation (CLI exit code 3)."""
 
 
+# config field annotation -> the JSON values it accepts
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
+               "tuple": (list, tuple), "dict": dict}
+
+
 @dataclass
 class CascadeConfig:
     prompt: str = ""
@@ -93,12 +98,20 @@ class CascadeConfig:
             raise ConfigError("injection_step must lie in [1, total_timesteps]")
         if self.steps < 1 or self.steps > self.total_timesteps:
             raise ConfigError("steps must lie in [1, total_timesteps]")
+        # above the smallest DDIM timestep the cascade levels run no step at all
+        last = self.total_timesteps - self.total_timesteps // self.steps * (self.steps - 1)
+        if len(levels) > 1 and last > self.injection_step:
+            raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
         if self.eta != 0.0:
             raise ConfigError("only deterministic DDIM (eta = 0) is supported")
         if self.upsample_space not in ("rgb", "latent"):
             raise ConfigError("upsample_space must be 'rgb' or 'latent'")
         if self.alpha_default <= 0 or self.alpha_lo <= 0 or self.alpha_hi <= 0:
             raise ConfigError("alpha values must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.vae_patch < 1:
+            raise ConfigError("vae_patch must be >= 1")
         div = 2**self.down_blocks
         if self.base_latent_size % div:
             raise ConfigError(f"base_latent_size must be divisible by {div}")
@@ -106,6 +119,7 @@ class CascadeConfig:
             raise ConfigError("dilation_stop_fraction must lie in [0, 1]")
         try:
             self.blur()
+            self.unet_config()
         except ValueError as e:
             raise ConfigError(str(e)) from e
         # window on the mid-block attention map; fusion grids need >= 2
@@ -135,10 +149,15 @@ class CascadeConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(raw) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for name, value in raw.items():
+            kind = _JSON_TYPES[types[name]]
+            # bool is an int subclass, so a JSON true is no number here
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigError(f"{name} must be of type {types[name]}, got {value!r}")
         cfg = cls(**raw)
         if isinstance(cfg.levels, list):
             cfg.levels = tuple(cfg.levels)
@@ -292,7 +311,7 @@ def run(prompt: str | None, config: CascadeConfig, mask: np.ndarray | None = Non
     if prompt is None:
         prompt = config.prompt
     else:
-        config.prompt = prompt
+        config = dataclasses.replace(config, prompt=prompt)
     sched = make_schedule(config.total_timesteps, config.steps)
     weights = init_weights(config.unet_config(), config.seed)
     vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)

@@ -62,10 +62,6 @@ class BlurSpec:
         if self.mode == "ideal_lowpass" and not (0.0 < self.cutoff <= 0.5):
             raise ValueError("cutoff must lie in (0, 0.5]")
 
-    @property
-    def radius(self) -> int:
-        return int(math.ceil(3.0 * self.sigma))
-
 
 def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     """Stride-1 "same" convolution with zero padding and dilation factor d.
@@ -86,17 +82,20 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     kh, kw = kernel.weights.shape[2:]
     d = int(dilation)
     ph, pw = d * (kh - 1) // 2, d * (kw - 1) // 2
-    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
+    hp, wp = h + 2 * ph, w + 2 * pw
+    # In rows of width wp, tap (i, j) is one GEMM on the h*wp contiguous
+    # columns at offset i*d*wp + j*d. The spare zero row keeps the last slice
+    # in bounds; the wp - w wrap-around columns are cropped at the end.
+    xp = np.zeros((n, c, hp + 1, wp), dtype=np.float64)
     xp[:, :, ph : ph + h, pw : pw + w] = x
-    wk = kernel.weights.astype(np.float64)
-    out = np.zeros((n, kernel.out_channels, h, w), dtype=np.float64)
+    flat = xp.reshape(n, c, (hp + 1) * wp)
+    taps = np.ascontiguousarray(kernel.weights.transpose(2, 3, 0, 1), dtype=np.float64)
+    out = np.zeros((n, kernel.out_channels, h * wp), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            window = xp[:, :, i * d : i * d + h, j * d : j * d + w]
-            # (O,C) x (N,C,H,W) -> (O,N,H,W)
-            out += np.tensordot(wk[:, :, i, j], window, axes=([1], [1])).transpose(
-                1, 0, 2, 3
-            )
+            start = i * d * wp + j * d
+            out += taps[i, j] @ flat[:, :, start : start + h * wp]
+    out = out.reshape(n, kernel.out_channels, h, wp)[:, :, :, :w]
     out += kernel.bias.astype(np.float64)[None, :, None, None]
     return out.astype(np.float32)
 

@@ -99,6 +99,24 @@ class TestBench:
         assert "cascade_median_s=" not in out
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alpha_per_level": {"x": 1}},
+            {"steps": "10"},
+            {"steps": 10, "injection_step": 50},
+            {"seed": -1},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_config_error_exits_2(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        extra = ["--out", str(tmp_path / "x.ppm")] if command == "generate" else []
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestOracle:
     def test_all_checks_pass(self, capsys):
         assert main(["oracle", "--check", "all"]) == 0

@@ -59,6 +59,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="eta"):
             CascadeConfig(eta=0.5).validate()
 
+    def test_injection_below_every_timestep(self):
+        # steps=10 puts the smallest grid timestep at 100
+        with pytest.raises(ConfigError, match="below every DDIM timestep"):
+            CascadeConfig(steps=10, injection_step=50).validate()
+        CascadeConfig(steps=10, injection_step=100).validate()
+        CascadeConfig(levels=(1,), steps=10, injection_step=50).validate()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("steps", "10"), ("seed", 1.5), ("dilation_enabled", "false"), ("levels", 4),
+         ("guidance_scale", True), ("alpha_per_level", [1])],
+    )
+    def test_field_types(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be of type"):
+            CascadeConfig.from_dict({key: value})
+
+    def test_int_accepted_for_float(self):
+        assert CascadeConfig.from_dict({"guidance_scale": 7}).guidance_scale == 7
+
+    @pytest.mark.parametrize(
+        "key, value", [("seed", -1), ("vae_patch", 0), ("time_embedding_dim", 15)]
+    )
+    def test_degenerate_values(self, key, value):
+        with pytest.raises(ConfigError):
+            CascadeConfig(**{key: value}).validate()
+
 
 class TestNearestResize:
     def test_downsample_picks_centers(self):
@@ -167,6 +193,14 @@ class TestRun:
             assert rec["wall_ms"] > 0
             assert np.isfinite(rec["latent_mean"]) and np.isfinite(rec["latent_std"])
         assert manifest["config_sha256"] == tiny_config.sha256()
+
+    def test_prompt_argument_leaves_config_alone(self, tiny_config):
+        cfg = dataclasses.replace(tiny_config, levels=(1,))
+        result = run("another scene", cfg)
+        assert cfg.prompt == "tiny test scene"
+        renamed = dataclasses.replace(cfg, prompt="another scene")
+        assert result["manifest"]["config_sha256"] == renamed.sha256()
+        np.testing.assert_array_equal(result["latent"], run(None, renamed)["latent"])
 
     def test_determinism(self, tiny_config):
         a = run(None, tiny_config)

@@ -46,29 +46,41 @@ class TestConv2d:
         assert out[0, 0] == 4.0
 
     def test_brute_force_agreement(self):
+        # a batch of two non-square maps; on the 3x4 map at dilation 5 every
+        # off-centre tap reads only padding
         def reference(x, k, d):
             n, c, h, w = x.shape
             kh, kw = k.weights.shape[2:]
             out = np.zeros((n, k.out_channels, h, w))
-            for o in range(k.out_channels):
-                for y in range(h):
-                    for xx in range(w):
-                        acc = float(k.bias[o])
-                        for ci in range(c):
-                            for i in range(kh):
-                                for j in range(kw):
-                                    sy, sx = y + d * (i - kh // 2), xx + d * (j - kw // 2)
-                                    if 0 <= sy < h and 0 <= sx < w:
-                                        acc += float(x[0, ci, sy, sx]) * float(
-                                            k.weights[o, ci, i, j]
-                                        )
-                        out[0, o, y, xx] = acc
+            for b in range(n):
+                for o in range(k.out_channels):
+                    for y in range(h):
+                        for xx in range(w):
+                            acc = float(k.bias[o])
+                            for ci in range(c):
+                                for i in range(kh):
+                                    for j in range(kw):
+                                        sy = y + d * (i - kh // 2)
+                                        sx = xx + d * (j - kw // 2)
+                                        if 0 <= sy < h and 0 <= sx < w:
+                                            acc += float(x[b, ci, sy, sx]) * float(
+                                                k.weights[o, ci, i, j]
+                                            )
+                            out[b, o, y, xx] = acc
             return out.astype(np.float32)
 
-        for _ in range(3):
-            x = RNG.standard_normal((1, 2, 9, 9)).astype(np.float32)
-            k = Kernel2D(RNG.standard_normal((2, 2, 3, 3)), RNG.standard_normal(2))
-            np.testing.assert_allclose(conv2d(x, k, 1), reference(x, k, 1), atol=1e-5)
+        for hw in ((7, 11), (3, 4)):
+            for ksize in ((1, 1), (3, 3), (5, 3)):
+                for d in (1, 2, 3, 5):
+                    x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
+                    k = Kernel2D(RNG.standard_normal((3, 2, *ksize)), RNG.standard_normal(3))
+                    out = conv2d(x, k, d)
+                    np.testing.assert_allclose(out, reference(x, k, d), atol=1e-5)
+                    if d >= max(hw):
+                        centre = Kernel2D(
+                            k.weights[:, :, ksize[0] // 2, ksize[1] // 2, None, None], k.bias
+                        )
+                        np.testing.assert_allclose(out, conv2d(x, centre), atol=1e-5)
 
     def test_dilation_upsample_commutation(self):
         # dilated conv on a nearest-upsampled map matches standard conv on
