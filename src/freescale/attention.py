@@ -71,9 +71,7 @@ class PatchGrid:
 
     @property
     def count(self) -> int:
-        rows = (self.height - self.window_h) // self.stride_h + 1
-        cols = (self.width - self.window_w) // self.stride_w + 1
-        return rows * cols
+        return len(self.positions)
 
     @property
     def positions(self) -> list[tuple[int, int]]:
@@ -106,32 +104,34 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
 
 
-def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> list[np.ndarray]:
-    """Extract the grid's crops from a [1,C,H,W] map in row-major order."""
+def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Stack the grid's crops of a [1,C,H,W] map, in row-major order, into
+    one [P,C,h,w] array."""
     h_in = as_f32(h_in)
-    if h_in.ndim != 4 or h_in.shape[2] != grid.height or h_in.shape[3] != grid.width:
+    if h_in.ndim != 4 or h_in.shape[0] != 1 or h_in.shape[2:] != (grid.height, grid.width):
         raise ValueError(
             f"feature shape {h_in.shape} does not match grid {grid.height}x{grid.width}"
         )
-    return [
-        h_in[:, :, top : top + grid.window_h, left : left + grid.window_w].copy()
-        for top, left in grid.positions
-    ]
+    return np.stack(
+        [h_in[0, :, top : top + grid.window_h, left : left + grid.window_w]
+         for top, left in grid.positions]
+    )
 
 
-def reconstruct_average(patches: list[np.ndarray], grid: PatchGrid) -> np.ndarray:
-    """Reassemble crops onto the full map, averaging overlapped pixels."""
-    if len(patches) != grid.count:
-        raise ValueError(f"expected {grid.count} patches, got {len(patches)}")
-    first = as_f32(patches[0])
-    c = first.shape[1]
-    acc = np.zeros((1, c, grid.height, grid.width), dtype=np.float64)
+def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Reassemble a [P,C,h,w] crop stack onto the full [1,C,H,W] map,
+    averaging overlapped pixels."""
+    patches = as_f32(patches)
+    expected = (grid.count, grid.window_h, grid.window_w)
+    if patches.ndim != 4 or patches.shape[:1] + patches.shape[2:] != expected:
+        raise ValueError(
+            f"expected {grid.count} patches of {grid.window_h}x{grid.window_w}, "
+            f"got shape {patches.shape}"
+        )
+    acc = np.zeros((1, patches.shape[1], grid.height, grid.width), dtype=np.float64)
     cover = np.zeros((grid.height, grid.width), dtype=np.float64)
     for patch, (top, left) in zip(patches, grid.positions):
-        patch = as_f32(patch)
-        if patch.shape != (1, c, grid.window_h, grid.window_w):
-            raise ValueError(f"bad patch shape {patch.shape}")
-        acc[:, :, top : top + grid.window_h, left : left + grid.window_w] += patch
+        acc[0, :, top : top + grid.window_h, left : left + grid.window_w] += patch
         cover[top : top + grid.window_h, left : left + grid.window_w] += 1.0
     return (acc / cover).astype(np.float32)
 
@@ -163,8 +163,9 @@ def fused_attention(
     reassembled by overlap averaging, fused per band.
     """
     h_global = self_attention(h_in, weights)
-    attended = self_attention(np.concatenate(shifted_crop_sampling(h_in, grid)), weights)
-    h_local = reconstruct_average(list(attended[:, None]), grid)
+    h_local = reconstruct_average(
+        self_attention(shifted_crop_sampling(h_in, grid), weights), grid
+    )
     return scale_fusion(h_global, h_local, blur)
 
 

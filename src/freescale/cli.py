@@ -63,7 +63,7 @@ def cmd_generate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        result = run(None, config, mask=mask)
+        result = run(config, mask=mask)
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -105,7 +105,7 @@ def cmd_bench(args) -> int:
                 direct_times.append(time.perf_counter() - t0)
             if args.arm in ("both", "cascade"):
                 t0 = time.perf_counter()
-                run(None, config)
+                run(config)
                 cascade_times.append(time.perf_counter() - t0)
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
 from .attention import AttentionWeights, FusionConfig, fused_attention, self_attention
 from .tensor_ops import Kernel2D, as_f32, conv2d, linear, upsample
 
@@ -31,8 +30,10 @@ class UNetConfig:
     cond_dim: int = 32
 
     def __post_init__(self):
-        if min(self.latent_channels, self.base_width, self.down_blocks) < 1:
-            raise ValueError("latent_channels, base_width, down_blocks must be >= 1")
+        sizes = (self.latent_channels, self.base_width, self.down_blocks,
+                 self.time_embedding_dim, self.cond_dim)
+        if min(sizes) < 1:
+            raise ValueError("every UNet size must be >= 1")
         if self.time_embedding_dim % 2 != 0:
             raise ValueError("time_embedding_dim must be even")
 
@@ -62,8 +63,9 @@ class DilationPolicy:
             raise ValueError("stop_fraction must lie in [0, 1]")
         object.__setattr__(self, "apply_to", groups)
 
-    def group_dilation(self, step_index: int, total_steps: int) -> dict:
-        active = step_index < (1.0 - self.stop_fraction) * total_steps
+    def group_dilation(self, step: int, total: int) -> dict:
+        """Per-group dilation map for DDIM step `step` (0-based) of `total`."""
+        active = step < (1.0 - self.stop_fraction) * total
         d = self.dilation_factor if active else 1
         return {g: (d if g in self.apply_to else 1) for g in BLOCK_GROUPS}
 
@@ -87,13 +89,6 @@ class WeightSet:
             h.update(name.encode("utf-8"))
             h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         return h.hexdigest()
-
-    def save(self, path) -> None:
-        fileio.write_tensor_file(path, self.params)
-
-    @classmethod
-    def load(cls, path, config: UNetConfig) -> "WeightSet":
-        return cls(config, fileio.read_tensor_file(path))
 
 
 def _layer_specs(config: UNetConfig):
@@ -192,20 +187,15 @@ def predict_noise(
     t: int,
     cond: np.ndarray,
     weights: WeightSet,
-    policy: DilationPolicy | None = None,
+    dilation: dict | None = None,
     fusion: FusionConfig | None = None,
-    step_index: int = 0,
-    total_steps: int = 1,
-    dilation_overrides: dict | None = None,
 ) -> np.ndarray:
     """Forward pass of the toy UNet.
 
-    When a policy is present and the step is before the late-step cutoff,
-    convolutions in its block groups run with the policy's dilation; up
-    blocks keep dilation 1 under the default policy. When a fusion config
-    is present the mid self-attention layer is replaced by fused_attention.
-    dilation_overrides bypasses the policy with an explicit per-group map
-    (verification plumbing).
+    dilation maps each block group ("down", "mid", "up") to the dilation of
+    its convolutions (DilationPolicy.group_dilation gives the restrained
+    map); a missing map or group means dilation 1. When a fusion config is
+    present the mid self-attention layer is replaced by fused_attention.
     """
     cfg = weights.config
     z_t = as_f32(z_t)
@@ -222,12 +212,7 @@ def predict_noise(
     if cond.shape != (cfg.cond_dim,):
         raise ValueError(f"cond must have length {cfg.cond_dim}, got shape {cond.shape}")
 
-    if dilation_overrides is not None:
-        dil = {g: int(dilation_overrides.get(g, 1)) for g in BLOCK_GROUPS}
-    elif policy is not None:
-        dil = policy.group_dilation(step_index, total_steps)
-    else:
-        dil = {g: 1 for g in BLOCK_GROUPS}
+    dilation = dilation or {}
 
     emb = _time_embedding(t, cfg.time_embedding_dim)
     e = np.concatenate([emb, cond])
@@ -237,11 +222,11 @@ def predict_noise(
     h = conv2d(z_t, weights.kernel("stem"), 1)
     skips = []
     for i in range(cfg.down_blocks):
-        h = _conv_block(h, e, weights, f"down{i}", dil["down"])
+        h = _conv_block(h, e, weights, f"down{i}", dilation.get("down", 1))
         skips.append(h)
         h = _avg_pool2(h)
 
-    h = _conv_block(h, e, weights, "mid", dil["mid"])
+    h = _conv_block(h, e, weights, "mid", dilation.get("mid", 1))
     attn_w = AttentionWeights(
         weights["mid.attn.w_q"],
         weights["mid.attn.w_k"],
@@ -255,8 +240,8 @@ def predict_noise(
         h = (h + self_attention(h, attn_w)).astype(np.float32)
 
     for i in reversed(range(cfg.down_blocks)):
-        h = upsample(h, 2, "nearest")
-        h = _conv_block(np.concatenate([h, skips[i]], axis=1), e, weights, f"up{i}", dil["up"])
+        h = np.concatenate([upsample(h, 2, "nearest"), skips[i]], axis=1)
+        h = _conv_block(h, e, weights, f"up{i}", dilation.get("up", 1))
 
     return conv2d(_channel_norm(h), weights.kernel("head"), 1)
 

@@ -1,49 +1,10 @@
-"""File formats: FSW1 weight checkpoints, PPM/PGM images, JSON manifests."""
+"""File formats: PPM/PGM images and JSON manifests."""
 
 from __future__ import annotations
 
 import json
-import struct
-from collections import OrderedDict
 
 import numpy as np
-
-MAGIC = b"FSW1"
-
-
-def write_tensor_file(path, named_arrays: "OrderedDict[str, np.ndarray]") -> None:
-    """Flat binary checkpoint: magic "FSW1", then per-tensor records of
-    (u32 name length, utf-8 name, u32 rank, u32 dims, little-endian f32 data).
-    """
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        for name, arr in named_arrays.items():
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
-
-
-def read_tensor_file(path) -> "OrderedDict[str, np.ndarray]":
-    out: OrderedDict[str, np.ndarray] = OrderedDict()
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a FSW1 checkpoint")
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-            count = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(f.read(4 * count), dtype="<f4")
-            out[name] = data.reshape(dims).copy()
-    return out
 
 
 def write_ppm(path, image: np.ndarray) -> bytes:

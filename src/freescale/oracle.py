@@ -88,10 +88,8 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
     cond = rng.standard_normal(8).astype(np.float32)
     apply_to = frozenset({"down", "mid", "up"}) if mutate_dilate_up else frozenset({"down", "mid"})
     policy = DilationPolicy(dilation_factor=2, apply_to=apply_to, stop_fraction=0.0)
-    got = predict_noise(z, 500, cond, weights, policy=policy, step_index=0, total_steps=10)
-    ref = predict_noise(
-        z, 500, cond, weights, dilation_overrides={"down": 2, "mid": 2, "up": 1}
-    )
+    got = predict_noise(z, 500, cond, weights, policy.group_dilation(0, 10))
+    ref = predict_noise(z, 500, cond, weights, {"down": 2, "mid": 2, "up": 1})
     max_dev = max(max_dev, float(np.max(np.abs(got - ref))))
     return CheckResult("conv", max_dev < 1e-5, max_dev)
 
@@ -131,13 +129,12 @@ def check_fusion(fusion_fn=scale_fusion, trials: int = 20) -> CheckResult:
 
 
 def _reference_overlap_average(patches, grid: PatchGrid) -> np.ndarray:
-    c = patches[0].shape[1]
-    total = np.zeros((1, c, grid.height, grid.width), dtype=np.float64)
+    total = np.zeros((1, patches.shape[1], grid.height, grid.width), dtype=np.float64)
     count = np.zeros((grid.height, grid.width), dtype=np.float64)
     for patch, (top, left) in zip(patches, grid.positions):
         for dy in range(grid.window_h):
             for dx in range(grid.window_w):
-                total[:, :, top + dy, left + dx] += patch[:, :, dy, dx]
+                total[0, :, top + dy, left + dx] += patch[:, dy, dx]
                 count[top + dy, left + dx] += 1.0
     return (total / count).astype(np.float32)
 
@@ -151,9 +148,7 @@ def check_patch() -> CheckResult:
     back = reconstruct_average(shifted_crop_sampling(x, grid), grid)
     max_dev = max(max_dev, float(np.max(np.abs(back - x))))
     small = PatchGrid(16, 16, 8, 8, 4, 4)
-    patches = [
-        rng.standard_normal((1, 3, 8, 8)).astype(np.float32) for _ in range(small.count)
-    ]
+    patches = rng.standard_normal((small.count, 3, 8, 8)).astype(np.float32)
     got = reconstruct_average(patches, small)
     ref = _reference_overlap_average(patches, small)
     max_dev = max(max_dev, float(np.max(np.abs(got - ref))))

@@ -10,9 +10,11 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
+from . import __version__
 from .attention import FusionConfig
 from .denoiser import (
     DilationPolicy,
@@ -24,18 +26,16 @@ from .denoiser import (
     prompt_embedding,
 )
 from .scheduler import (
+    MIN_ALPHA,
     DetailControl,
     NoiseSchedule,
-    cascade_inject,
     ddim_step,
     detail_blend,
     forward_noise,
     make_schedule,
 )
-from .tensor_ops import BlurSpec, as_f32
+from .tensor_ops import BlurSpec
 from .vae import AutoencoderSpec, decode, make_autoencoder, phi_upsample
-
-TOOL_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -51,13 +51,21 @@ _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
                "tuple": (list, tuple), "dict": dict}
 
 
+def _is_json(value, kind: str) -> bool:
+    """Whether a JSON value fits a field annotated ``kind``. bool is an int
+    subclass, so a JSON true is no number here; Python's json module reads
+    NaN and Infinity, which are no valid numbers either."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, _JSON_TYPES[kind]) and (kind != "float" or isfinite(value))
+
+
 @dataclass
 class CascadeConfig:
     prompt: str = ""
     levels: tuple = (1, 2, 4)
     total_timesteps: int = 1000
     steps: int = 50
-    eta: float = 0.0
     injection_step: int = 700
     guidance_scale: float = 7.5
     upsample_space: str = "rgb"
@@ -82,7 +90,9 @@ class CascadeConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        levels = tuple(int(r) for r in self.levels)
+        levels = tuple(self.levels)
+        if not all(_is_json(r, "int") for r in levels):
+            raise ConfigError(f"levels must be integers, got {list(levels)}")
         if not levels:
             raise ConfigError("levels must be non-empty")
         if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -102,12 +112,13 @@ class CascadeConfig:
         last = self.total_timesteps - self.total_timesteps // self.steps * (self.steps - 1)
         if len(levels) > 1 and last > self.injection_step:
             raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
-        if self.eta != 0.0:
-            raise ConfigError("only deterministic DDIM (eta = 0) is supported")
         if self.upsample_space not in ("rgb", "latent"):
             raise ConfigError("upsample_space must be 'rgb' or 'latent'")
-        if self.alpha_default <= 0 or self.alpha_lo <= 0 or self.alpha_hi <= 0:
-            raise ConfigError("alpha values must be positive")
+        if self.latent_upsample_mode not in ("nearest", "bilinear"):
+            raise ConfigError("latent_upsample_mode must be 'nearest' or 'bilinear'")
+        alphas = (self.alpha_default, self.alpha_lo, self.alpha_hi, *self.alpha_per_level.values())
+        if not all(a >= MIN_ALPHA for a in alphas):  # also rejects NaN
+            raise ConfigError(f"alpha values must be >= {MIN_ALPHA}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.vae_patch < 1:
@@ -154,14 +165,15 @@ class CascadeConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for name, value in raw.items():
-            kind = _JSON_TYPES[types[name]]
-            # bool is an int subclass, so a JSON true is no number here
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            if not _is_json(value, types[name]):
                 raise ConfigError(f"{name} must be of type {types[name]}, got {value!r}")
         cfg = cls(**raw)
-        if isinstance(cfg.levels, list):
-            cfg.levels = tuple(cfg.levels)
-        cfg.alpha_per_level = {int(k): float(v) for k, v in dict(cfg.alpha_per_level).items()}
+        cfg.levels = tuple(cfg.levels)
+        per_level = cfg.alpha_per_level
+        if not all(str(k).removeprefix("-").isdecimal() and _is_json(v, "float")
+                   for k, v in per_level.items()):
+            raise ConfigError(f"alpha_per_level must map integer levels to numbers: {per_level}")
+        cfg.alpha_per_level = {int(k): float(v) for k, v in per_level.items()}
         cfg.validate()
         return cfg
 
@@ -200,23 +212,24 @@ def _denoise_loop(
     z: np.ndarray,
     timesteps,
     sched: NoiseSchedule,
-    cond: np.ndarray,
-    uncond: np.ndarray,
     weights: WeightSet,
-    guidance_scale: float,
+    config: CascadeConfig,
     policy: DilationPolicy | None = None,
     fusion: FusionConfig | None = None,
     anchor: np.ndarray | None = None,
     anchor_noise: np.ndarray | None = None,
     ctrl: DetailControl | None = None,
 ) -> np.ndarray:
+    cond = prompt_embedding(config.prompt, config.cond_dim)
+    uncond = np.zeros(config.cond_dim, dtype=np.float32)
     total = len(timesteps)
     for i, t in enumerate(timesteps):
         t = int(t)
         t_prev = int(timesteps[i + 1]) if i + 1 < total else 0
-        eps_c = predict_noise(z, t, cond, weights, policy, fusion, i, total)
-        eps_u = predict_noise(z, t, uncond, weights, policy, fusion, i, total)
-        eps = cfg_combine(eps_u, eps_c, guidance_scale)
+        dilation = policy.group_dilation(i, total) if policy is not None else None
+        eps_c = predict_noise(z, t, cond, weights, dilation, fusion)
+        eps_u = predict_noise(z, t, uncond, weights, dilation, fusion)
+        eps = cfg_combine(eps_u, eps_c, config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
         if ctrl is not None and t_prev > 0:
             z_anchor = forward_noise(anchor, t_prev, anchor_noise, sched)
@@ -225,18 +238,18 @@ def _denoise_loop(
     return z
 
 
-def generate_base(
-    prompt: str, config: CascadeConfig, weights: WeightSet, sched: NoiseSchedule
-) -> np.ndarray:
-    """Plain seeded DDIM generation at the training resolution (no dilation,
-    no fusion, no blending)."""
-    cond = prompt_embedding(prompt, config.cond_dim)
-    uncond = np.zeros(config.cond_dim, dtype=np.float32)
-    rng = np.random.default_rng([config.seed, 0])
-    z = rng.standard_normal(_latent_shape(config, 1)).astype(np.float32)
-    return _denoise_loop(
-        z, sched.ddim_timesteps, sched, cond, uncond, weights, config.guidance_scale
-    )
+def _plain_ddim(config: CascadeConfig, weights: WeightSet, sched: NoiseSchedule,
+                level: int, stream: int) -> np.ndarray:
+    """Seeded DDIM from pure noise at one level (no dilation, no fusion, no
+    blending); stream keys the noise draw."""
+    rng = np.random.default_rng([config.seed, stream])
+    z = rng.standard_normal(_latent_shape(config, level)).astype(np.float32)
+    return _denoise_loop(z, sched.ddim_timesteps, sched, weights, config)
+
+
+def generate_base(config: CascadeConfig, weights: WeightSet, sched: NoiseSchedule) -> np.ndarray:
+    """Plain DDIM generation at the training resolution."""
+    return _plain_ddim(config, weights, sched, 1, 0)
 
 
 def cascade_level(
@@ -260,7 +273,7 @@ def cascade_level(
     # one noise draw per level: it drives the injection and stays the anchor
     # noise for every blend step, so the anchor trajectory is consistent
     anchor_noise = rng.standard_normal(phi.shape).astype(np.float32)
-    z = cascade_inject(phi, config.injection_step, anchor_noise, sched)
+    z = forward_noise(phi, config.injection_step, anchor_noise, sched)
     timesteps = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
 
     policy = None
@@ -276,16 +289,12 @@ def cascade_level(
     if config.blend_enabled:
         ctrl = DetailControl(_alpha_map_for_level(config, r_to, mask))
 
-    cond = prompt_embedding(config.prompt, config.cond_dim)
-    uncond = np.zeros(config.cond_dim, dtype=np.float32)
     return _denoise_loop(
         z,
         timesteps,
         sched,
-        cond,
-        uncond,
         weights,
-        config.guidance_scale,
+        config,
         policy=policy,
         fusion=fusion,
         anchor=phi,
@@ -305,20 +314,16 @@ def latent_to_image(z0: np.ndarray, vae_spec: AutoencoderSpec) -> np.ndarray:
     return np.clip(0.5 + rgb / 6.0, 0.0, 1.0).astype(np.float32)
 
 
-def run(prompt: str | None, config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
+def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
     """Execute the full cascade; returns {"image", "latent", "manifest"}."""
     config.validate()
-    if prompt is None:
-        prompt = config.prompt
-    else:
-        config = dataclasses.replace(config, prompt=prompt)
     sched = make_schedule(config.total_timesteps, config.steps)
     weights = init_weights(config.unet_config(), config.seed)
     vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
 
     level_stats = []
     t0 = time.perf_counter()
-    z0 = generate_base(prompt, config, weights, sched)
+    z0 = generate_base(config, weights, sched)
     level_stats.append(_level_record(1, z0, t0))
 
     level = 1
@@ -335,7 +340,7 @@ def run(prompt: str | None, config: CascadeConfig, mask: np.ndarray | None = Non
         "config_sha256": config.sha256(),
         "seed": config.seed,
         "levels": level_stats,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
     }
     return {"image": image, "latent": z0, "manifest": manifest}
 
@@ -355,10 +360,4 @@ def direct_generate(config: CascadeConfig, level: int) -> np.ndarray:
     config.validate()
     sched = make_schedule(config.total_timesteps, config.steps)
     weights = init_weights(config.unet_config(), config.seed)
-    cond = prompt_embedding(config.prompt, config.cond_dim)
-    uncond = np.zeros(config.cond_dim, dtype=np.float32)
-    rng = np.random.default_rng([config.seed, 1000 + level])
-    z = rng.standard_normal(_latent_shape(config, level)).astype(np.float32)
-    return _denoise_loop(
-        z, sched.ddim_timesteps, sched, cond, uncond, weights, config.guidance_scale
-    )
+    return _plain_ddim(config, weights, sched, level, 1000 + level)

@@ -1,5 +1,6 @@
-"""Diffusion time machinery: noise schedule, forward noising, deterministic
-DDIM reverse steps, cascade noise injection, and cosine-decay detail blending.
+"""Diffusion time machinery: noise schedule, forward noising (also the
+cascade's noise injection), deterministic DDIM reverse steps, and
+cosine-decay detail blending.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ class NoiseSchedule:
     alphas: np.ndarray
     alpha_bars: np.ndarray
     ddim_timesteps: np.ndarray
-    eta: float = 0.0
 
     def alpha_bar(self, t: int) -> float:
         """Cumulative alpha at timestep t; alpha_bar(0) is defined as 1."""
@@ -34,7 +34,6 @@ def make_schedule(
     steps: int,
     beta_start: float = 0.00085,
     beta_end: float = 0.012,
-    eta: float = 0.0,
 ) -> NoiseSchedule:
     """Scaled-linear beta schedule (sqrt(beta) linearly spaced, then squared)
     with an evenly spaced descending DDIM timestep subsequence starting at T.
@@ -43,8 +42,6 @@ def make_schedule(
         raise ValueError(f"need total_steps >= steps >= 1, got {total_steps}, {steps}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-    if eta != 0.0:
-        raise ValueError("stochastic DDIM (eta != 0) is unsupported")
     betas = (
         np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), total_steps, dtype=np.float64)
         ** 2
@@ -59,12 +56,14 @@ def make_schedule(
         alphas=alphas,
         alpha_bars=alpha_bars,
         ddim_timesteps=timesteps,
-        eta=float(eta),
     )
 
 
 def forward_noise(z0: np.ndarray, t: int, noise: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Closed-form forward noising: sqrt(ab_t) * z0 + sqrt(1 - ab_t) * noise."""
+    """Closed-form forward noising: sqrt(ab_t) * z0 + sqrt(1 - ab_t) * noise.
+
+    The cascade's noise injection is this at t = K on the upsampled latent.
+    """
     z0 = as_f32(z0)
     noise = as_f32(noise)
     if noise.shape != z0.shape:
@@ -79,7 +78,7 @@ def forward_noise(z0: np.ndarray, t: int, noise: np.ndarray, sched: NoiseSchedul
 def ddim_step(
     z_t: np.ndarray, eps: np.ndarray, t: int, t_prev: int, sched: NoiseSchedule
 ) -> np.ndarray:
-    """One deterministic (eta=0) DDIM step from timestep t down to t_prev.
+    """One deterministic DDIM step from timestep t down to t_prev.
 
     Reconstructs the clean-latent estimate from the predicted noise, then
     re-noises it at t_prev with the same predicted noise.
@@ -88,8 +87,6 @@ def ddim_step(
     eps = as_f32(eps)
     if eps.shape != z_t.shape:
         raise ValueError("eps shape must match z_t shape")
-    if sched.eta != 0.0:
-        raise ValueError("stochastic DDIM (eta != 0) is unsupported")
     if t_prev > t:
         raise ValueError(f"t_prev ({t_prev}) must not exceed t ({t})")
     if t_prev == t:
@@ -103,30 +100,20 @@ def ddim_step(
     return out.astype(np.float32)
 
 
-def cascade_inject(
-    phi_out: np.ndarray, k: int, noise: np.ndarray, sched: NoiseSchedule
-) -> np.ndarray:
-    """Re-noise the upsampled clean latent at injection timestep K.
-
-    Identical to forward_noise at t = K: mean sqrt(ab_K) * phi_out, standard
-    deviation sqrt(1 - ab_K).
-    """
-    return forward_noise(phi_out, k, noise, sched)
-
-
-_MIN_ALPHA = 1e-3
+# smallest detail exponent accepted (by DetailControl and config validation)
+MIN_ALPHA = 1e-3
 
 
 @dataclass(frozen=True)
 class DetailControl:
-    """Spatial map of detail exponents; scalar allowed, entries must be > 0."""
+    """Spatial map of detail exponents; scalar allowed, entries must be >= MIN_ALPHA."""
 
     alpha_map: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.alpha_map, dtype=np.float64)
-        if a.size == 0 or np.any(a < _MIN_ALPHA):
-            raise ValueError(f"alpha entries must be >= {_MIN_ALPHA}")
+        if a.size == 0 or np.any(a < MIN_ALPHA):
+            raise ValueError(f"alpha entries must be >= {MIN_ALPHA}")
         object.__setattr__(self, "alpha_map", a)
 
 

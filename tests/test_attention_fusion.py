@@ -67,8 +67,8 @@ class TestPatchGrid:
         x = RNG.standard_normal((1, 2, 8, 8)).astype(np.float32)
         grid = PatchGrid(8, 8, 8, 8, 8, 8)
         patches = shifted_crop_sampling(x, grid)
-        assert len(patches) == 1
-        np.testing.assert_array_equal(patches[0], x)
+        assert patches.shape == (1, 2, 8, 8)
+        np.testing.assert_array_equal(patches, x)
 
     def test_overlap_geometry(self):
         grid = PatchGrid(128, 128, 64, 64, 32, 32)
@@ -103,16 +103,13 @@ class TestReconstructAverage:
         # widen to two fully overlapping patches via a stride-0 equivalent:
         # directly average through the per-pixel counter path
         grid2 = PatchGrid(8, 4, 4, 4, 4, 4)
-        out = reconstruct_average([a, b], grid2)
+        out = reconstruct_average(np.concatenate([a, b]), grid2)
         np.testing.assert_allclose(out[0, 0, :4], 3.0)
         np.testing.assert_allclose(out[0, 0, 4:], 5.0)
 
     def test_brute_force_oracle(self):
         grid = PatchGrid(128, 128, 64, 64, 32, 32)
-        patches = [
-            RNG.standard_normal((1, 2, 64, 64)).astype(np.float32)
-            for _ in range(grid.count)
-        ]
+        patches = RNG.standard_normal((grid.count, 2, 64, 64)).astype(np.float32)
         total = np.zeros((1, 2, 128, 128))
         count = np.zeros((128, 128))
         for patch, (top, left) in zip(patches, grid.positions):
@@ -125,7 +122,7 @@ class TestReconstructAverage:
     def test_wrong_count(self):
         grid = PatchGrid(8, 8, 4, 4, 4, 4)
         with pytest.raises(ValueError, match="patches"):
-            reconstruct_average([np.zeros((1, 1, 4, 4))], grid)
+            reconstruct_average(np.zeros((1, 1, 4, 4)), grid)
 
 
 class TestScaleFusion:
@@ -189,8 +186,9 @@ class TestFusedAttention:
         blur = BlurSpec("gaussian", sigma=1.0)
         got = fused_attention(x, w, grid, blur)
         h_global = self_attention(x, w)
+        patches = [x[:, :, t : t + 8, l : l + 8] for t, l in grid.positions]
         h_local = reconstruct_average(
-            [self_attention(p, w) for p in shifted_crop_sampling(x, grid)], grid
+            np.concatenate([self_attention(p, w) for p in patches]), grid
         )
         expected = h_global - lowpass(h_global, blur) + lowpass(h_local, blur)
         np.testing.assert_allclose(got, expected, atol=1e-6)

@@ -107,12 +107,22 @@ class TestConfigErrors:
             {"steps": "10"},
             {"steps": 10, "injection_step": 50},
             {"seed": -1},
+            {"alpha_per_level": {"2": -1}},
+            {"alpha_lo": 0.0005},
+            {"levels": [1, 2.7]},
+            {"upsample_space": "latent", "latent_upsample_mode": "cubic"},
+            {"latent_upsample_mode": "cubic"},
         ],
     )
     @pytest.mark.parametrize("command", ["generate", "bench"])
     def test_config_error_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
-        extra = ["--out", str(tmp_path / "x.ppm")] if command == "generate" else []
+        extra = []
+        if command == "generate":
+            # a mask makes the run read alpha_lo/alpha_hi
+            mask = tmp_path / "mask.pgm"
+            fileio.write_pgm(mask, np.linspace(0, 1, 256, dtype=np.float32).reshape(16, 16))
+            extra = ["--out", str(tmp_path / "x.ppm"), "--mask", str(mask)]
         assert main([command, "--config", str(cfg), *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -7,7 +7,6 @@ from freescale.attention import FusionConfig
 from freescale.denoiser import (
     DilationPolicy,
     UNetConfig,
-    WeightSet,
     cfg_combine,
     init_weights,
     predict_noise,
@@ -53,35 +52,13 @@ class TestInitWeights:
         assert checked >= 5
 
 
-class TestCheckpointFormat:
-    def test_round_trip(self, tmp_path):
-        ws = init_weights(SMALL, 9)
-        path = tmp_path / "weights.fsw"
-        ws.save(path)
-        loaded = WeightSet.load(path, SMALL)
-        assert loaded.checksum() == ws.checksum()
-        assert list(loaded.params) == list(ws.params)
-
-    def test_magic_bytes(self, tmp_path):
-        path = tmp_path / "weights.fsw"
-        init_weights(SMALL, 9).save(path)
-        assert path.read_bytes()[:4] == b"FSW1"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.fsw"
-        path.write_bytes(b"NOPE")
-        with pytest.raises(ValueError, match="FSW1"):
-            WeightSet.load(path, SMALL)
-
-
 class TestPredictNoise:
     def test_policy_d1_matches_no_policy(self):
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()
         base = predict_noise(z, 500, cond, ws)
         with_policy = predict_noise(
-            z, 500, cond, ws,
-            policy=DilationPolicy(1, stop_fraction=0.0), step_index=0, total_steps=10,
+            z, 500, cond, ws, DilationPolicy(1, stop_fraction=0.0).group_dilation(0, 10)
         )
         np.testing.assert_array_equal(base, with_policy)
 
@@ -90,17 +67,16 @@ class TestPredictNoise:
         z, cond = small_inputs()
         base = predict_noise(z, 100, cond, ws)
         policy = DilationPolicy(4, stop_fraction=0.3)
-        late = predict_noise(z, 100, cond, ws, policy=policy, step_index=9, total_steps=10)
+        late = predict_noise(z, 100, cond, ws, policy.group_dilation(9, 10))
         np.testing.assert_array_equal(base, late)
-        early = predict_noise(z, 100, cond, ws, policy=policy, step_index=0, total_steps=10)
+        early = predict_noise(z, 100, cond, ws, policy.group_dilation(0, 10))
         assert np.max(np.abs(early - base)) > 1e-6
 
     def test_dilation_changes_no_parameters(self):
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()
         before = ws.checksum()
-        predict_noise(z, 500, cond, ws, policy=DilationPolicy(2, stop_fraction=0.0),
-                      step_index=0, total_steps=10)
+        predict_noise(z, 500, cond, ws, DilationPolicy(2, stop_fraction=0.0).group_dilation(0, 10))
         assert ws.checksum() == before
 
     def test_deterministic_hash_with_policy_and_fusion(self):
@@ -110,8 +86,7 @@ class TestPredictNoise:
         policy = DilationPolicy(2, stop_fraction=0.0)
         digests = set()
         for _ in range(2):
-            out = predict_noise(z, 500, cond, ws, policy=policy, fusion=fusion,
-                                step_index=0, total_steps=10)
+            out = predict_noise(z, 500, cond, ws, policy.group_dilation(0, 10), fusion)
             digests.add(hashlib.sha256(out.tobytes()).hexdigest())
         assert len(digests) == 1
 

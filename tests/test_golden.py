@@ -47,7 +47,7 @@ def test_golden_bytes(name, tiny_config, tmp_path):
     overrides, masked, ppm_sha, latent_sha = GOLDEN[name]
     config = dataclasses.replace(tiny_config, **overrides)
     mask = np.linspace(0.0, 1.0, 16 * 16, dtype=np.float32).reshape(16, 16) if masked else None
-    result = run(None, config, mask=mask)
+    result = run(config, mask=mask)
     payload = fileio.write_ppm(tmp_path / "out.ppm", result["image"])
     assert hashlib.sha256(payload).hexdigest() == ppm_sha
     assert hashlib.sha256(result["latent"].tobytes()).hexdigest() == latent_sha

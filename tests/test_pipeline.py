@@ -13,7 +13,7 @@ from freescale.pipeline import (
     nearest_resize,
     run,
 )
-from freescale.scheduler import cascade_inject, ddim_step, make_schedule
+from freescale.scheduler import MIN_ALPHA, ddim_step, forward_noise, make_schedule
 from freescale.vae import make_autoencoder, phi_upsample
 
 
@@ -56,8 +56,9 @@ class TestConfigValidation:
         assert again.sha256() == cfg.sha256()
 
     def test_eta_rejected(self):
-        with pytest.raises(ConfigError, match="eta"):
-            CascadeConfig(eta=0.5).validate()
+        # DDIM here is deterministic only; eta is no config field
+        with pytest.raises(ConfigError, match="unknown config keys: eta"):
+            CascadeConfig.from_dict({"eta": 0.5})
 
     def test_injection_below_every_timestep(self):
         # steps=10 puts the smallest grid timestep at 100
@@ -69,17 +70,46 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "key, value",
         [("steps", "10"), ("seed", 1.5), ("dilation_enabled", "false"), ("levels", 4),
-         ("guidance_scale", True), ("alpha_per_level", [1])],
+         ("guidance_scale", True), ("alpha_per_level", [1]), ("guidance_scale", float("nan")),
+         ("blur_sigma", float("inf"))],
     )
     def test_field_types(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be of type"):
             CascadeConfig.from_dict({key: value})
 
+    @pytest.mark.parametrize("levels", [[1, 2.7], [1, 2.0], [True, 2], [1, "2"]])
+    def test_non_integer_levels(self, levels):
+        with pytest.raises(ConfigError, match="levels must be integers"):
+            CascadeConfig.from_dict({"levels": levels})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [{"alpha_default": 0.0005}, {"alpha_lo": 0.0005}, {"alpha_hi": -1},
+         {"alpha_per_level": {"2": -1}}],
+    )
+    def test_alpha_floor(self, raw):
+        with pytest.raises(ConfigError, match=f"alpha values must be >= {MIN_ALPHA}"):
+            CascadeConfig.from_dict(raw)
+
+    def test_alpha_floor_is_inclusive(self):
+        floor = {"alpha_default": MIN_ALPHA, "alpha_lo": MIN_ALPHA, "alpha_hi": MIN_ALPHA,
+                 "alpha_per_level": {"2": MIN_ALPHA}}
+        assert CascadeConfig.from_dict(floor).alpha_per_level == {2: MIN_ALPHA}
+
+    @pytest.mark.parametrize(
+        "value", [{"x": 1}, {"2.5": 1}, {"2": "3"}, {"2": True}, {"2": float("nan")}]
+    )
+    def test_alpha_per_level_entries(self, value):
+        with pytest.raises(ConfigError, match="alpha_per_level must map"):
+            CascadeConfig.from_dict({"alpha_per_level": value})
+
     def test_int_accepted_for_float(self):
         assert CascadeConfig.from_dict({"guidance_scale": 7}).guidance_scale == 7
 
     @pytest.mark.parametrize(
-        "key, value", [("seed", -1), ("vae_patch", 0), ("time_embedding_dim", 15)]
+        "key, value",
+        [("seed", -1), ("vae_patch", 0), ("time_embedding_dim", 15), ("time_embedding_dim", 0),
+         ("cond_dim", -2)],
     )
     def test_degenerate_values(self, key, value):
         with pytest.raises(ConfigError):
@@ -108,8 +138,8 @@ class TestNearestResize:
 class TestGenerateBase:
     def test_determinism_shape_and_spread(self, tiny_config):
         sched, weights, _ = setup_run(tiny_config)
-        a = generate_base(tiny_config.prompt, tiny_config, weights, sched)
-        b = generate_base(tiny_config.prompt, tiny_config, weights, sched)
+        a = generate_base(tiny_config, weights, sched)
+        b = generate_base(tiny_config, weights, sched)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (1, 12, 8, 8)
         assert np.all(np.isfinite(a))
@@ -119,7 +149,7 @@ class TestGenerateBase:
 class TestCascadeLevel:
     def test_doubles_spatial_dims(self, tiny_config):
         sched, weights, vae_spec = setup_run(tiny_config)
-        z0 = generate_base(tiny_config.prompt, tiny_config, weights, sched)
+        z0 = generate_base(tiny_config, weights, sched)
         z1 = cascade_level(z0, 1, 2, tiny_config, weights, vae_spec, sched)
         assert z1.shape == (1, 12, 16, 16)
         assert np.all(np.isfinite(z1))
@@ -139,7 +169,7 @@ class TestCascadeLevel:
         # alpha -> +inf drives c -> 0 for every t < T: trajectory equals the
         # blend-disabled run after injection
         sched, weights, vae_spec = setup_run(tiny_config)
-        z0 = generate_base(tiny_config.prompt, tiny_config, weights, sched)
+        z0 = generate_base(tiny_config, weights, sched)
         huge = dataclasses.replace(tiny_config, alpha_default=1e6)
         off = dataclasses.replace(tiny_config, blend_enabled=False)
         z_huge = cascade_level(z0, 1, 2, huge, weights, vae_spec, sched)
@@ -150,7 +180,7 @@ class TestCascadeLevel:
         # with dilation, fusion, and blending all off, the level is exactly
         # DDIM from the injected latent; verified against a reference loop
         sched, weights, vae_spec = setup_run(tiny_config)
-        z0 = generate_base(tiny_config.prompt, tiny_config, weights, sched)
+        z0 = generate_base(tiny_config, weights, sched)
         bare = dataclasses.replace(
             tiny_config, dilation_enabled=False, fusion_enabled=False, blend_enabled=False
         )
@@ -159,7 +189,7 @@ class TestCascadeLevel:
         phi = phi_upsample(z0, 2, bare.upsample_space, bare.latent_upsample_mode, vae_spec)
         rng = np.random.default_rng([bare.seed, 2])
         noise = rng.standard_normal(phi.shape).astype(np.float32)
-        z = cascade_inject(phi, bare.injection_step, noise, sched)
+        z = forward_noise(phi, bare.injection_step, noise, sched)
         cond = prompt_embedding(bare.prompt, bare.cond_dim)
         uncond = np.zeros(bare.cond_dim, np.float32)
         ts = [int(t) for t in sched.ddim_timesteps if t <= bare.injection_step]
@@ -177,15 +207,15 @@ class TestCascadeLevel:
 class TestRun:
     def test_single_level_is_pure_base(self, tiny_config):
         cfg = dataclasses.replace(tiny_config, levels=(1,))
-        result = run(None, cfg)
+        result = run(cfg)
         assert result["latent"].shape == (1, 12, 8, 8)
         sched, weights, _ = setup_run(cfg)
         np.testing.assert_array_equal(
-            result["latent"], generate_base(cfg.prompt, cfg, weights, sched)
+            result["latent"], generate_base(cfg, weights, sched)
         )
 
     def test_two_levels_shape_and_manifest(self, tiny_config):
-        result = run(None, tiny_config)
+        result = run(tiny_config)
         assert result["image"].shape == (1, 3, 32, 32)
         manifest = result["manifest"]
         assert [rec["level"] for rec in manifest["levels"]] == [1, 2]
@@ -194,36 +224,28 @@ class TestRun:
             assert np.isfinite(rec["latent_mean"]) and np.isfinite(rec["latent_std"])
         assert manifest["config_sha256"] == tiny_config.sha256()
 
-    def test_prompt_argument_leaves_config_alone(self, tiny_config):
-        cfg = dataclasses.replace(tiny_config, levels=(1,))
-        result = run("another scene", cfg)
-        assert cfg.prompt == "tiny test scene"
-        renamed = dataclasses.replace(cfg, prompt="another scene")
-        assert result["manifest"]["config_sha256"] == renamed.sha256()
-        np.testing.assert_array_equal(result["latent"], run(None, renamed)["latent"])
-
     def test_determinism(self, tiny_config):
-        a = run(None, tiny_config)
-        b = run(None, tiny_config)
+        a = run(tiny_config)
+        b = run(tiny_config)
         np.testing.assert_array_equal(a["image"], b["image"])
 
     def test_chained_doubling_from_sparse_levels(self, tiny_config):
         cfg = dataclasses.replace(tiny_config, levels=(1, 4))
-        result = run(None, cfg)
+        result = run(cfg)
         assert result["latent"].shape == (1, 12, 32, 32)
         assert [rec["level"] for rec in result["manifest"]["levels"]] == [1, 2, 4]
 
     def test_mask_changes_output(self, tiny_config):
         mask = np.zeros((16, 16), np.float32)
         mask[:8] = 1.0
-        with_mask = run(None, tiny_config, mask=mask)
-        without = run(None, tiny_config)
+        with_mask = run(tiny_config, mask=mask)
+        without = run(tiny_config)
         assert np.max(np.abs(with_mask["image"] - without["image"])) > 1e-6
 
     def test_no_nan_over_seeds(self, tiny_config):
         for seed in range(5):
             cfg = dataclasses.replace(tiny_config, seed=seed)
-            result = run(None, cfg)
+            result = run(cfg)
             assert np.all(np.isfinite(result["latent"]))
             assert np.all(np.isfinite(result["image"]))
 

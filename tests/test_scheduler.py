@@ -4,7 +4,6 @@ import pytest
 from freescale.scheduler import (
     DetailControl,
     NoiseSchedule,
-    cascade_inject,
     ddim_step,
     decay_factor,
     detail_blend,
@@ -129,24 +128,16 @@ class TestCascadeInject:
     def test_zero_noise(self):
         sched = make_schedule(1000, 50)
         phi = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        out = cascade_inject(phi, 700, np.zeros_like(phi), sched)
+        out = forward_noise(phi, 700, np.zeros_like(phi), sched)
         np.testing.assert_allclose(
             out, np.float32(np.sqrt(sched.alpha_bar(700))) * phi, atol=1e-6
-        )
-
-    def test_matches_forward_noise_at_k(self):
-        sched = make_schedule(1000, 50)
-        phi = RNG.standard_normal((1, 2, 4, 4)).astype(np.float32)
-        noise = RNG.standard_normal(phi.shape).astype(np.float32)
-        np.testing.assert_array_equal(
-            cascade_inject(phi, 700, noise, sched), forward_noise(phi, 700, noise, sched)
         )
 
     def test_k_range(self):
         sched = make_schedule(1000, 50)
         phi = np.zeros((1, 1, 2, 2), np.float32)
         with pytest.raises(ValueError):
-            cascade_inject(phi, 1001, phi, sched)
+            forward_noise(phi, 1001, phi, sched)
 
 
 class TestDetailBlend:
