@@ -52,21 +52,19 @@ def _write_png(path: Path, image: np.ndarray) -> bool:
     return True
 
 
+def _load_mask(path: str) -> np.ndarray:
+    try:
+        return fileio.read_pgm(path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read mask: {e}") from e
+
+
 def cmd_generate(args) -> int:
-    try:
-        config = _load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-            config.validate()
-        mask = fileio.read_pgm(args.mask) if args.mask else None
-    except (ConfigError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = run(config, mask=mask)
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    config = _load_config(args.config)
+    if args.seed is not None:
+        config.seed = args.seed
+    mask = _load_mask(args.mask) if args.mask else None
+    result = run(config, mask=mask)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -90,26 +88,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        config = _load_config(args.config)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _load_config(args.config)
     final_level = config.levels[-1]
     direct_times, cascade_times = [], []
-    try:
-        for _ in range(args.repeat):
-            if args.arm in ("both", "direct"):
-                t0 = time.perf_counter()
-                direct_generate(config, final_level)
-                direct_times.append(time.perf_counter() - t0)
-            if args.arm in ("both", "cascade"):
-                t0 = time.perf_counter()
-                run(config)
-                cascade_times.append(time.perf_counter() - t0)
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    for _ in range(args.repeat):
+        if args.arm in ("both", "direct"):
+            t0 = time.perf_counter()
+            direct_generate(config, final_level)
+            direct_times.append(time.perf_counter() - t0)
+        if args.arm in ("both", "cascade"):
+            t0 = time.perf_counter()
+            run(config)
+            cascade_times.append(time.perf_counter() - t0)
 
     if direct_times:
         print(f"direct_median_s={statistics.median(direct_times):.4f}")
@@ -171,7 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -18,8 +18,6 @@ import numpy as np
 from .attention import AttentionWeights, FusionConfig, fused_attention, self_attention
 from .tensor_ops import Kernel2D, as_f32, conv2d, linear, upsample
 
-BLOCK_GROUPS = ("down", "mid", "up")
-
 
 @dataclass(frozen=True)
 class UNetConfig:
@@ -44,30 +42,24 @@ class UNetConfig:
 
 @dataclass(frozen=True)
 class DilationPolicy:
-    """Restrained dilation: factor d applied only in the listed block groups
-    and disabled for the final stop_fraction of the sampling steps. Up
-    blocks are excluded by default (dilating them smears textures).
+    """Restrained dilation: factor d in the down and mid blocks, never in
+    the up blocks (dilating them smears textures), and disabled for the
+    final stop_fraction of the sampling steps.
     """
 
     dilation_factor: int
-    apply_to: frozenset = frozenset({"down", "mid"})
     stop_fraction: float = 0.3
 
     def __post_init__(self):
         if self.dilation_factor < 1:
             raise ValueError("dilation_factor must be >= 1")
-        groups = frozenset(self.apply_to)
-        if not groups <= set(BLOCK_GROUPS):
-            raise ValueError(f"apply_to must be a subset of {BLOCK_GROUPS}")
         if not (0.0 <= self.stop_fraction <= 1.0):
             raise ValueError("stop_fraction must lie in [0, 1]")
-        object.__setattr__(self, "apply_to", groups)
 
     def group_dilation(self, step: int, total: int) -> dict:
         """Per-group dilation map for DDIM step `step` (0-based) of `total`."""
-        active = step < (1.0 - self.stop_fraction) * total
-        d = self.dilation_factor if active else 1
-        return {g: (d if g in self.apply_to else 1) for g in BLOCK_GROUPS}
+        d = self.dilation_factor if step < (1.0 - self.stop_fraction) * total else 1
+        return {"down": d, "mid": d, "up": 1}
 
 
 class WeightSet:

@@ -45,6 +45,8 @@ def read_pgm(path) -> np.ndarray:
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported")
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image is {w}x{h}, need at least 1x1")
     pos += 1  # single whitespace after the header
     raster = np.frombuffer(data[pos : pos + w * h], dtype=np.uint8)
     if raster.size != w * h:

@@ -86,9 +86,10 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
     weights = init_weights(cfg, 11)
     z = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
     cond = rng.standard_normal(8).astype(np.float32)
-    apply_to = frozenset({"down", "mid", "up"}) if mutate_dilate_up else frozenset({"down", "mid"})
-    policy = DilationPolicy(dilation_factor=2, apply_to=apply_to, stop_fraction=0.0)
-    got = predict_noise(z, 500, cond, weights, policy.group_dilation(0, 10))
+    dilation = DilationPolicy(dilation_factor=2, stop_fraction=0.0).group_dilation(0, 10)
+    if mutate_dilate_up:
+        dilation = dict(dilation, up=2)
+    got = predict_noise(z, 500, cond, weights, dilation)
     ref = predict_noise(z, 500, cond, weights, {"down": 2, "mid": 2, "up": 1})
     max_dev = max(max_dev, float(np.max(np.abs(got - ref))))
     return CheckResult("conv", max_dev < 1e-5, max_dev)

@@ -106,12 +106,6 @@ class CascadeConfig:
         self.levels = levels
         if not (1 <= self.injection_step <= self.total_timesteps):
             raise ConfigError("injection_step must lie in [1, total_timesteps]")
-        if self.steps < 1 or self.steps > self.total_timesteps:
-            raise ConfigError("steps must lie in [1, total_timesteps]")
-        # above the smallest DDIM timestep the cascade levels run no step at all
-        last = self.total_timesteps - self.total_timesteps // self.steps * (self.steps - 1)
-        if len(levels) > 1 and last > self.injection_step:
-            raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
         if self.upsample_space not in ("rgb", "latent"):
             raise ConfigError("upsample_space must be 'rgb' or 'latent'")
         if self.latent_upsample_mode not in ("nearest", "bilinear"):
@@ -119,6 +113,10 @@ class CascadeConfig:
         alphas = (self.alpha_default, self.alpha_lo, self.alpha_hi, *self.alpha_per_level.values())
         if not all(a >= MIN_ALPHA for a in alphas):  # also rejects NaN
             raise ConfigError(f"alpha values must be >= {MIN_ALPHA}")
+        try:
+            self.prompt.encode("utf-8")  # prompt_embedding hashes these bytes
+        except UnicodeEncodeError as e:
+            raise ConfigError(f"prompt does not encode as UTF-8: {e.reason}") from e
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.vae_patch < 1:
@@ -126,13 +124,16 @@ class CascadeConfig:
         div = 2**self.down_blocks
         if self.base_latent_size % div:
             raise ConfigError(f"base_latent_size must be divisible by {div}")
-        if not (0.0 <= self.dilation_stop_fraction <= 1.0):
-            raise ConfigError("dilation_stop_fraction must lie in [0, 1]")
         try:
             self.blur()
             self.unet_config()
+            DilationPolicy(1, self.dilation_stop_fraction)
+            last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        # above the smallest DDIM timestep the cascade levels run no step at all
+        if len(levels) > 1 and last > self.injection_step:
+            raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
         # window on the mid-block attention map; fusion grids need >= 2
         if self.base_latent_size // div < 2:
             raise ConfigError("base_latent_size too small for the attention window")
@@ -327,12 +328,11 @@ def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
     level_stats.append(_level_record(1, z0, t0))
 
     level = 1
-    for target in config.levels[1:]:
-        while level < target:
-            t0 = time.perf_counter()
-            z0 = cascade_level(z0, level, 2 * level, config, weights, vae_spec, sched, mask)
-            level *= 2
-            level_stats.append(_level_record(level, z0, t0))
+    while level < config.levels[-1]:
+        t0 = time.perf_counter()
+        z0 = cascade_level(z0, level, 2 * level, config, weights, vae_spec, sched, mask)
+        level *= 2
+        level_stats.append(_level_record(level, z0, t0))
 
     image = latent_to_image(z0, vae_spec)
     _check_finite(image, "decoded image")

@@ -16,7 +16,6 @@ from .tensor_ops import as_f32
 class NoiseSchedule:
     total_steps: int
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
     ddim_timesteps: np.ndarray
 
@@ -29,32 +28,20 @@ class NoiseSchedule:
         return float(self.alpha_bars[t - 1])
 
 
-def make_schedule(
-    total_steps: int,
-    steps: int,
-    beta_start: float = 0.00085,
-    beta_end: float = 0.012,
-) -> NoiseSchedule:
-    """Scaled-linear beta schedule (sqrt(beta) linearly spaced, then squared)
-    with an evenly spaced descending DDIM timestep subsequence starting at T.
+def make_schedule(total_steps: int, steps: int) -> NoiseSchedule:
+    """Scaled-linear beta schedule (sqrt(beta) linearly spaced from 0.00085
+    to 0.012, then squared) with an evenly spaced descending DDIM timestep
+    subsequence starting at T.
     """
     if steps < 1 or total_steps < steps:
         raise ValueError(f"need total_steps >= steps >= 1, got {total_steps}, {steps}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-    betas = (
-        np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), total_steps, dtype=np.float64)
-        ** 2
-    )
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
+    betas = np.linspace(np.sqrt(0.00085), np.sqrt(0.012), total_steps, dtype=np.float64) ** 2
     stride = total_steps // steps
     timesteps = total_steps - stride * np.arange(steps, dtype=np.int64)
     return NoiseSchedule(
         total_steps=int(total_steps),
         betas=betas,
-        alphas=alphas,
-        alpha_bars=alpha_bars,
+        alpha_bars=np.cumprod(1.0 - betas),
         ddim_timesteps=timesteps,
     )
 

@@ -81,6 +81,26 @@ class TestGenerate:
         main(["generate", "--config", str(cfg), "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [None, b"P5\n0 0\n255\n", b"P5\n0 4\n255\n", b"P5\n4 4\n255\n\x00",
+         b"P6\n1 1\n255\n\x00"],
+    )
+    def test_unreadable_mask_exit_2(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path)
+        mask = tmp_path / "mask.pgm"
+        if payload is not None:  # None: no mask file at all
+            mask.write_bytes(payload)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.ppm"),
+                     "--mask", str(mask)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read mask")
+
+    def test_bad_seed_override_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.ppm"),
+                     "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
 
 class TestBench:
     def test_both_arms_report_ratio(self, tmp_path, capsys):
@@ -112,6 +132,7 @@ class TestConfigErrors:
             {"levels": [1, 2.7]},
             {"upsample_space": "latent", "latent_upsample_mode": "cubic"},
             {"latent_upsample_mode": "cubic"},
+            {"prompt": "\ud800"},
         ],
     )
     @pytest.mark.parametrize("command", ["generate", "bench"])

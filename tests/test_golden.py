@@ -12,6 +12,7 @@ import pytest
 from freescale import fileio
 from freescale.attention import AttentionWeights, self_attention
 from freescale.pipeline import run
+from test_acceptance import toy_config
 
 # name -> (config overrides, masked, ppm sha256, latent sha256)
 GOLDEN = {
@@ -51,6 +52,18 @@ def test_golden_bytes(name, tiny_config, tmp_path):
     payload = fileio.write_ppm(tmp_path / "out.ppm", result["image"])
     assert hashlib.sha256(payload).hexdigest() == ppm_sha
     assert hashlib.sha256(result["latent"].tobytes()).hexdigest() == latent_sha
+
+
+def test_golden_bytes_acceptance_config(tmp_path):
+    # toy_config: 16^2 base latent, levels [1, 2, 4], 50 steps, every mechanism on
+    result = run(toy_config())
+    payload = fileio.write_ppm(tmp_path / "out.ppm", result["image"])
+    assert hashlib.sha256(payload).hexdigest() == (
+        "d216faaf6eb778570af2cf13d284c06b79d3fa3580da407ce421abdbb5447f7d"
+    )
+    assert hashlib.sha256(result["latent"].tobytes()).hexdigest() == (
+        "4aaa52d18ff51e2656e90e15597317f7a924869cadc2e71c4c4ce4460be1cd1f"
+    )
 
 
 def test_stacked_self_attention_equals_single_calls():

@@ -109,7 +109,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "key, value",
         [("seed", -1), ("vae_patch", 0), ("time_embedding_dim", 15), ("time_embedding_dim", 0),
-         ("cond_dim", -2)],
+         ("cond_dim", -2), ("steps", 0), ("steps", 1001), ("dilation_stop_fraction", 1.5),
+         ("prompt", "\ud800")],
     )
     def test_degenerate_values(self, key, value):
         with pytest.raises(ConfigError):
