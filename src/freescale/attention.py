@@ -96,10 +96,14 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     q = linear(tokens, weights.w_q)
     k = linear(tokens, weights.w_k)
     v = linear(tokens, weights.w_v)
+    t = hh * ww
+    # The [N, T, T] scores set the memory of the whole UNet at large T: scale
+    # them in place and drop each buffer once its rounded copy exists.
     scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1)
-    scores = scores / np.sqrt(float(weights.dim))
-    attn = softmax_rows(scores.astype(np.float32).reshape(n * hh * ww, hh * ww))
-    out = attn.reshape(n, hh * ww, hh * ww).astype(np.float64) @ v.astype(np.float64)
+    scores /= np.sqrt(float(weights.dim))
+    scores = scores.astype(np.float32)
+    scores = softmax_rows(scores.reshape(n * t, t))
+    out = scores.reshape(n, t, t).astype(np.float64) @ v.astype(np.float64)
     out = linear(out.astype(np.float32), weights.w_o)
     return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
 

@@ -124,19 +124,26 @@ class CascadeConfig:
         div = 2**self.down_blocks
         if self.base_latent_size % div:
             raise ConfigError(f"base_latent_size must be divisible by {div}")
+        # window on the mid-block attention map; fusion grids need >= 2
+        window = self.base_latent_size // div
+        if window < 2:
+            raise ConfigError("base_latent_size too small for the attention window")
         try:
-            self.blur()
+            blur = self.blur()
             self.unet_config()
             DilationPolicy(1, self.dilation_stop_fraction)
             last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
+            if self.fusion_enabled:  # the grid on every level run() walks must tile
+                fusion = FusionConfig(window, blur)
+                level = 2
+                while level <= levels[-1]:
+                    fusion.grid_for(window * level, window * level)
+                    level *= 2
         except ValueError as e:
             raise ConfigError(str(e)) from e
         # above the smallest DDIM timestep the cascade levels run no step at all
         if len(levels) > 1 and last > self.injection_step:
             raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
-        # window on the mid-block attention map; fusion grids need >= 2
-        if self.base_latent_size // div < 2:
-            raise ConfigError("base_latent_size too small for the attention window")
 
     def blur(self) -> BlurSpec:
         return BlurSpec(mode=self.blur_mode, sigma=self.blur_sigma, cutoff=self.blur_cutoff)

@@ -91,10 +91,12 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     flat = xp.reshape(n, c, (hp + 1) * wp)
     taps = np.ascontiguousarray(kernel.weights.transpose(2, 3, 0, 1), dtype=np.float64)
     out = np.zeros((n, kernel.out_channels, h * wp), dtype=np.float64)
+    prod = np.empty_like(out)  # one product buffer, reused by every tap
     for i in range(kh):
         for j in range(kw):
             start = i * d * wp + j * d
-            out += taps[i, j] @ flat[:, :, start : start + h * wp]
+            np.matmul(taps[i, j], flat[:, :, start : start + h * wp], out=prod)
+            out += prod
     out = out.reshape(n, kernel.out_channels, h, wp)[:, :, :, :w]
     out += kernel.bias.astype(np.float64)[None, :, None, None]
     return out.astype(np.float32)
@@ -192,10 +194,11 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     m = as_f32(m)
     if m.ndim != 2:
         raise ValueError(f"input must be 2-D, got shape {m.shape}")
-    z = m.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+    z = m.astype(np.float64)  # the one float64 buffer, updated in place
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z.astype(np.float32)
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from freescale.attention import (
     self_attention,
     shifted_crop_sampling,
 )
-from freescale.tensor_ops import BlurSpec, lowpass
+from freescale.tensor_ops import BlurSpec, linear, lowpass
+from test_tensor_ops import reference_softmax_rows
 
 RNG = np.random.default_rng(5)
 
@@ -23,6 +26,24 @@ def random_weights(dim):
         RNG.standard_normal((dim, dim)),
         RNG.standard_normal((dim, dim)),
     )
+
+
+def reference_self_attention(x, w):
+    """The rounding points self_attention must keep: float64 scores, divided
+    by sqrt(dim), cast to float32, row softmax, cast to float64, @ v."""
+    n, c, hh, ww = x.shape
+    tokens = x.reshape(n, c, hh * ww).transpose(0, 2, 1)
+    q, k, v = (linear(tokens, m) for m in (w.w_q, w.w_k, w.w_v))
+    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1)
+    scores = scores / np.sqrt(float(w.dim))
+    attn = reference_softmax_rows(scores.astype(np.float32).reshape(n * hh * ww, hh * ww))
+    out = attn.reshape(n, hh * ww, hh * ww).astype(np.float64) @ v.astype(np.float64)
+    out = linear(out.astype(np.float32), w.w_o)
+    return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
+
+
+def scaled_weights(rng, dim, scale):
+    return AttentionWeights(*(rng.standard_normal((dim, dim)) * scale for _ in range(4)))
 
 
 class TestSelfAttention:
@@ -55,6 +76,31 @@ class TestSelfAttention:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             self_attention(np.zeros((1, 3, 2, 2)), random_weights(4))
+
+    # the level-8 global map (1024 tokens) and its 225-patch fusion stack
+    @pytest.mark.parametrize("shape", [(1, 32, 32, 32), (225, 32, 4, 4)])
+    @pytest.mark.parametrize("scale", [0.3, 1.0])
+    def test_bitwise_equal_to_reference(self, shape, scale):
+        rng = np.random.default_rng(23)
+        w = scaled_weights(rng, shape[1], scale)
+        x = rng.standard_normal(shape).astype(np.float32)
+        assert np.array_equal(self_attention(x, w), reference_self_attention(x, w))
+
+    def test_peak_memory_one_score_matrix(self):
+        # one [T, T] float64 buffer plus the float32 copies either side of
+        # the softmax: about 2 * T^2 * 8 bytes (5 * T^2 * 8 with a fresh
+        # array per pass)
+        rng = np.random.default_rng(29)
+        w = scaled_weights(rng, 32, 0.3)
+        x = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
+        tokens = 32 * 32
+        tracemalloc.start()
+        try:
+            self_attention(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * tokens**2 * 8
 
 
 class TestPatchGrid:

@@ -133,6 +133,7 @@ class TestConfigErrors:
             {"upsample_space": "latent", "latent_upsample_mode": "cubic"},
             {"latent_upsample_mode": "cubic"},
             {"prompt": "\ud800"},
+            {"base_latent_size": 20},  # window 5 does not tile the 10x10 level-2 mid map
         ],
     )
     @pytest.mark.parametrize("command", ["generate", "bench"])
@@ -146,6 +147,12 @@ class TestConfigErrors:
             extra = ["--out", str(tmp_path / "x.ppm"), "--mask", str(mask)]
         assert main([command, "--config", str(cfg), *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_untiled_window_runs_without_fusion(self, tmp_path):
+        cfg = write_config(tmp_path, base_latent_size=20, fusion_enabled=False)
+        out = tmp_path / "img.ppm"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes().startswith(b"P6\n80 80\n255\n")
 
 
 class TestOracle:

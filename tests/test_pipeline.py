@@ -49,6 +49,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="divisible"):
             CascadeConfig(base_latent_size=10).validate()
 
+    def test_fusion_grid_must_tile(self):
+        # window 5, stride 2: the 10x10 mid map of level 2 does not tile
+        with pytest.raises(ConfigError, match="not divisible by stride 2"):
+            CascadeConfig(base_latent_size=20, levels=(1, 2)).validate()
+        # levels (1, 4) still runs level 2
+        with pytest.raises(ConfigError, match="not divisible by stride 2"):
+            CascadeConfig(base_latent_size=20, levels=(1, 4)).validate()
+        CascadeConfig(base_latent_size=20, levels=(1, 2), fusion_enabled=False).validate()
+        CascadeConfig(base_latent_size=20, levels=(1,)).validate()
+        CascadeConfig(base_latent_size=12, levels=(1, 2, 4, 8)).validate()  # window 3, stride 1
+
     def test_round_trip_dict(self):
         cfg = CascadeConfig(levels=(1, 2), seed=9)
         again = CascadeConfig.from_dict(cfg.to_dict())

@@ -182,6 +182,15 @@ class TestLowpass:
             BlurSpec("ideal_lowpass", cutoff=0.6)
 
 
+def reference_softmax_rows(m):
+    """The pass sequence softmax_rows must round like: float64 copy, max
+    subtraction, exp, division by the row sum, one cast to float32."""
+    z = m.astype(np.float64)
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
 class TestSoftmaxRows:
     def test_uniform(self):
         out = softmax_rows(np.full((2, 5), 3.0, np.float32))
@@ -199,6 +208,14 @@ class TestSoftmaxRows:
         m = (RNG.standard_normal((8, 16)) * 1e4).astype(np.float32)
         sums = softmax_rows(m).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 40.0])
+    def test_bitwise_equal_to_reference(self, scale):
+        rng = np.random.default_rng(11)
+        m = (rng.standard_normal((64, 257)) * scale).astype(np.float32)
+        if scale == 40.0:
+            assert np.ptp(m, axis=1).min() > 50.0  # the smallest weights flush to zero
+        assert np.array_equal(softmax_rows(m), reference_softmax_rows(m))
 
 
 class TestLinear:
