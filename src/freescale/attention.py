@@ -10,6 +10,10 @@ import numpy as np
 
 from .tensor_ops import BlurSpec, as_f32, linear, lowpass, softmax_rows
 
+# query rows per block of self_attention; a map with fewer tokens (a fusion
+# patch stack, a small mid map) is one block
+ATTENTION_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class AttentionWeights:
@@ -93,17 +97,24 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     if c != weights.dim:
         raise ValueError(f"channel count {c} != attention dim {weights.dim}")
     tokens = h_in.reshape(n, c, hh * ww).transpose(0, 2, 1)  # [N, tokens, C]
-    q = linear(tokens, weights.w_q)
-    k = linear(tokens, weights.w_k)
-    v = linear(tokens, weights.w_v)
+    q = linear(tokens, weights.w_q).astype(np.float64)
+    k_t = linear(tokens, weights.w_k).astype(np.float64).transpose(0, 2, 1)
+    v = linear(tokens, weights.w_v).astype(np.float64)
     t = hh * ww
-    # The [N, T, T] scores set the memory of the whole UNet at large T: scale
-    # them in place and drop each buffer once its rounded copy exists.
-    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1)
-    scores /= np.sqrt(float(weights.dim))
-    scores = scores.astype(np.float32)
-    scores = softmax_rows(scores.reshape(n * t, t))
-    out = scores.reshape(n, t, t).astype(np.float64) @ v.astype(np.float64)
+    scale = np.sqrt(float(weights.dim))
+    # Query rows go in blocks, so the scores are [N, rows, T], never the
+    # whole [N, T, T]. Softmax rows are independent and neither GEMM's inner
+    # dimension changes, so every rounding point is where it would be in one
+    # pass. Each buffer is dropped once its rounded copy exists.
+    out = np.empty((n, t, c), dtype=np.float64)
+    for r0 in range(0, t, ATTENTION_BLOCK_ROWS):
+        r1 = min(r0 + ATTENTION_BLOCK_ROWS, t)
+        scores = q[:, r0:r1] @ k_t
+        scores /= scale
+        scores = scores.astype(np.float32)
+        scores = softmax_rows(scores.reshape(n * (r1 - r0), t))
+        np.matmul(scores.reshape(n, r1 - r0, t).astype(np.float64), v, out=out[:, r0:r1])
+    del q, k_t, v  # free them before the output projection allocates
     out = linear(out.astype(np.float32), weights.w_o)
     return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
 

@@ -160,10 +160,12 @@ def prompt_embedding(prompt: str, cond_dim: int) -> np.ndarray:
 
 
 def _avg_pool2(h: np.ndarray) -> np.ndarray:
-    n, c, hh, ww = h.shape
-    return (
-        h.reshape(n, c, hh // 2, 2, ww // 2, 2).astype(np.float64).mean(axis=(3, 5))
-    ).astype(np.float32)
+    """2x2 mean in float64, summed as (top pair) + (bottom pair): the order
+    numpy's mean over the window axes takes on the maps the UNet pools."""
+    pooled = h[:, :, 0::2, 0::2].astype(np.float64) + h[:, :, 0::2, 1::2]
+    pooled += h[:, :, 1::2, 0::2].astype(np.float64) + h[:, :, 1::2, 1::2]
+    pooled /= 4.0
+    return pooled.astype(np.float32)
 
 
 def _conv_block(h, e, weights: WeightSet, name: str, dilation: int) -> np.ndarray:

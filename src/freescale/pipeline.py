@@ -133,14 +133,19 @@ class CascadeConfig:
             self.unet_config()
             DilationPolicy(1, self.dilation_stop_fraction)
             last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
-            if self.fusion_enabled:  # the grid on every level run() walks must tile
-                fusion = FusionConfig(window, blur)
-                level = 2
-                while level <= levels[-1]:
-                    fusion.grid_for(window * level, window * level)
-                    level *= 2
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        level = 2
+        while self.fusion_enabled and level <= levels[-1]:  # every level run() walks
+            side = window * level
+            try:
+                FusionConfig(window, blur).grid_for(side, side)
+            except ValueError as e:
+                raise ConfigError(
+                    f"base_latent_size {self.base_latent_size}: the attention window "
+                    f"{window} does not tile the {side}x{side} mid map of level {level} ({e})"
+                ) from e
+            level *= 2
         # above the smallest DDIM timestep the cascade levels run no step at all
         if len(levels) > 1 and last > self.injection_step:
             raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# conv2d's float64 working set per block of output rows (padded input,
+# accumulator and product buffer); about 1 MiB keeps each tap GEMM large
+# enough to run at full speed.
+CONV_BLOCK_BYTES = 1 << 20
+
 
 def as_f32(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
@@ -79,27 +84,43 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
         raise ValueError(
             f"channel mismatch: input has {c}, kernel expects {kernel.in_channels}"
         )
+    o = kernel.out_channels
     kh, kw = kernel.weights.shape[2:]
     d = int(dilation)
     ph, pw = d * (kh - 1) // 2, d * (kw - 1) // 2
-    hp, wp = h + 2 * ph, w + 2 * pw
-    # In rows of width wp, tap (i, j) is one GEMM on the h*wp contiguous
-    # columns at offset i*d*wp + j*d. The spare zero row keeps the last slice
-    # in bounds; the wp - w wrap-around columns are cropped at the end.
-    xp = np.zeros((n, c, hp + 1, wp), dtype=np.float64)
-    xp[:, :, ph : ph + h, pw : pw + w] = x
-    flat = xp.reshape(n, c, (hp + 1) * wp)
+    wp = w + 2 * pw
+    # Output rows go in blocks of `rows`. A block's input is its own rows
+    # plus ph halo rows either side, zero-padded to width wp, plus one spare
+    # zero row. In rows of width wp, tap (i, j) is one GEMM on the rb*wp
+    # contiguous columns at offset i*d*wp + j*d; the spare row keeps the last
+    # slice in bounds and the wp - w wrap-around columns are cropped.
+    row_bytes = (c + 2 * o) * wp * 8 * n
+    rows = max(1, min(h, CONV_BLOCK_BYTES // max(row_bytes, 1)))
+    xb = np.zeros((n, c, rows + 2 * ph + 1, wp), dtype=np.float64)
+    flat = xb.reshape(n, c, -1)
     taps = np.ascontiguousarray(kernel.weights.transpose(2, 3, 0, 1), dtype=np.float64)
-    out = np.zeros((n, kernel.out_channels, h * wp), dtype=np.float64)
-    prod = np.empty_like(out)  # one product buffer, reused by every tap
-    for i in range(kh):
-        for j in range(kw):
-            start = i * d * wp + j * d
-            np.matmul(taps[i, j], flat[:, :, start : start + h * wp], out=prod)
-            out += prod
-    out = out.reshape(n, kernel.out_channels, h, wp)[:, :, :, :w]
-    out += kernel.bias.astype(np.float64)[None, :, None, None]
-    return out.astype(np.float32)
+    acc = np.empty((n, o, rows * wp), dtype=np.float64)
+    prod = np.empty_like(acc)  # one product buffer, reused by every tap
+    bias = kernel.bias.astype(np.float64)[None, :, None, None]
+    out = np.empty((n, o, h, w), dtype=np.float32)
+    for r0 in range(0, h, rows):
+        rb = min(rows, h - r0)
+        lo, hi = max(r0 - ph, 0), min(r0 + rb + ph, h)  # input rows in reach
+        top, bottom = lo - r0 + ph, hi - r0 + ph  # where they land in xb
+        xb[:, :, :top] = 0.0
+        xb[:, :, top:bottom, pw : pw + w] = x[:, :, lo:hi]
+        xb[:, :, bottom:] = 0.0
+        blk, tmp = acc[:, :, : rb * wp], prod[:, :, : rb * wp]
+        blk[...] = 0.0
+        for i in range(kh):
+            for j in range(kw):
+                start = i * d * wp + j * d
+                np.matmul(taps[i, j], flat[:, :, start : start + rb * wp], out=tmp)
+                blk += tmp
+        blk = blk.reshape(n, o, rb, wp)[:, :, :, :w]
+        blk += bias
+        out[:, :, r0 : r0 + rb] = blk  # the one rounding to float32
+    return out
 
 
 def _resample_axis_bilinear(x: np.ndarray, factor: int, axis: int) -> np.ndarray:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from freescale.attention import (
     shifted_crop_sampling,
 )
 from freescale.tensor_ops import BlurSpec, linear, lowpass
-from test_tensor_ops import reference_softmax_rows
+from test_tensor_ops import reference_softmax_rows, traced_peak
 
 RNG = np.random.default_rng(5)
 
@@ -87,20 +85,22 @@ class TestSelfAttention:
         assert np.array_equal(self_attention(x, w), reference_self_attention(x, w))
 
     def test_peak_memory_one_score_matrix(self):
-        # one [T, T] float64 buffer plus the float32 copies either side of
-        # the softmax: about 2 * T^2 * 8 bytes (5 * T^2 * 8 with a fresh
-        # array per pass)
+        # query-row blocks keep at most a [128, T] slice of the scores: about
+        # 0.4 * T^2 * 8 bytes at T = 1024 (2 * T^2 * 8 with the whole [T, T]
+        # matrix, 5 * T^2 * 8 with a fresh array per pass)
         rng = np.random.default_rng(29)
         w = scaled_weights(rng, 32, 0.3)
         x = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
         tokens = 32 * 32
-        tracemalloc.start()
-        try:
-            self_attention(x, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * tokens**2 * 8
+        assert traced_peak(lambda: self_attention(x, w)) <= 0.5 * tokens**2 * 8
+
+    def test_peak_memory_linear_in_tokens(self):
+        # a 64x64 mid map, 4096 tokens: the whole [T, T] matrix needs about
+        # 2 * T^2 * 8 bytes = 256 MiB
+        rng = np.random.default_rng(37)
+        w = scaled_weights(rng, 32, 0.3)
+        x = rng.standard_normal((1, 32, 64, 64)).astype(np.float32)
+        assert traced_peak(lambda: self_attention(x, w)) <= 24 * 2**20
 
 
 class TestPatchGrid:

@@ -7,6 +7,7 @@ from freescale.attention import FusionConfig
 from freescale.denoiser import (
     DilationPolicy,
     UNetConfig,
+    _avg_pool2,
     cfg_combine,
     init_weights,
     predict_noise,
@@ -118,6 +119,31 @@ class TestPredictNoise:
             predict_noise(z[:, :, :10, :10], 10, cond, ws)
         with pytest.raises(ValueError, match="cond"):
             predict_noise(z, 10, cond[:4], ws)
+
+
+class TestAvgPool2:
+    @staticmethod
+    def reference(h):
+        n, c, hh, ww = h.shape
+        return (
+            h.reshape(n, c, hh // 2, 2, ww // 2, 2).astype(np.float64).mean(axis=(3, 5))
+        ).astype(np.float32)
+
+    # the pooled maps of the pinned configs, and a batch of odd channel count
+    @pytest.mark.parametrize("shape", [(1, 16, 64, 64), (1, 32, 32, 32), (1, 8, 4, 4),
+                                       (2, 3, 6, 10)])
+    def test_bitwise_equal_to_numpy_mean(self, shape):
+        rng = np.random.default_rng(41)
+        mags = 10.0 ** rng.uniform(-30, 30, shape)
+        h = (rng.standard_normal(shape) * mags).astype(np.float32)
+        # windows whose sum depends on the order: a sequential sum gives 1,
+        # column pairs give 2, top pair + bottom pair gives 0
+        big = np.float32(2.0**100)
+        h[..., 0:2, 0:2] = [[big, 1.0], [-big, 1.0]]
+        h[..., -2:, -2:] = [[1.0, -big], [1.0, big]]
+        pooled = _avg_pool2(h)
+        assert np.array_equal(pooled, self.reference(h))
+        assert pooled[0, 0, 0, 0] == 0.0
 
 
 class TestCfgCombine:

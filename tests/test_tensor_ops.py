@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from freescale import tensor_ops
 from freescale.tensor_ops import (
     BlurSpec,
     Kernel2D,
@@ -20,6 +23,37 @@ def identity_kernel(channels):
     for c in range(channels):
         w[c, c, 1, 1] = 1.0
     return Kernel2D(w, np.zeros(channels))
+
+
+def reference_conv2d(x, k, d):
+    """Triple-loop "same" convolution with zero padding and dilation d."""
+    n, c, h, w = x.shape
+    kh, kw = k.weights.shape[2:]
+    out = np.zeros((n, k.out_channels, h, w))
+    for b in range(n):
+        for o in range(k.out_channels):
+            for y in range(h):
+                for xx in range(w):
+                    acc = float(k.bias[o])
+                    for ci in range(c):
+                        for i in range(kh):
+                            for j in range(kw):
+                                sy = y + d * (i - kh // 2)
+                                sx = xx + d * (j - kw // 2)
+                                if 0 <= sy < h and 0 <= sx < w:
+                                    acc += float(x[b, ci, sy, sx]) * float(k.weights[o, ci, i, j])
+                    out[b, o, y, xx] = acc
+    return out.astype(np.float32)
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConv2d:
@@ -48,39 +82,46 @@ class TestConv2d:
     def test_brute_force_agreement(self):
         # a batch of two non-square maps; on the 3x4 map at dilation 5 every
         # off-centre tap reads only padding
-        def reference(x, k, d):
-            n, c, h, w = x.shape
-            kh, kw = k.weights.shape[2:]
-            out = np.zeros((n, k.out_channels, h, w))
-            for b in range(n):
-                for o in range(k.out_channels):
-                    for y in range(h):
-                        for xx in range(w):
-                            acc = float(k.bias[o])
-                            for ci in range(c):
-                                for i in range(kh):
-                                    for j in range(kw):
-                                        sy = y + d * (i - kh // 2)
-                                        sx = xx + d * (j - kw // 2)
-                                        if 0 <= sy < h and 0 <= sx < w:
-                                            acc += float(x[b, ci, sy, sx]) * float(
-                                                k.weights[o, ci, i, j]
-                                            )
-                            out[b, o, y, xx] = acc
-            return out.astype(np.float32)
-
         for hw in ((7, 11), (3, 4)):
             for ksize in ((1, 1), (3, 3), (5, 3)):
                 for d in (1, 2, 3, 5):
                     x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
                     k = Kernel2D(RNG.standard_normal((3, 2, *ksize)), RNG.standard_normal(3))
                     out = conv2d(x, k, d)
-                    np.testing.assert_allclose(out, reference(x, k, d), atol=1e-5)
+                    np.testing.assert_allclose(out, reference_conv2d(x, k, d), atol=1e-5)
                     if d >= max(hw):
                         centre = Kernel2D(
                             k.weights[:, :, ksize[0] // 2, ksize[1] // 2, None, None], k.bias
                         )
                         np.testing.assert_allclose(out, conv2d(x, centre), atol=1e-5)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_row_blocks(self, monkeypatch, rows):
+        # blocks of 1-3 output rows, most of them narrower than the halo
+        cases = []
+        for hw in ((7, 11), (3, 4)):
+            for ksize in ((1, 1), (3, 3), (5, 3)):
+                for d in (1, 2, 3, 5):
+                    x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
+                    k = Kernel2D(RNG.standard_normal((3, 2, *ksize)), RNG.standard_normal(3))
+                    cases.append((x, k, d, conv2d(x, k, d)))  # one block per call
+        for x, k, d, whole in cases:
+            wp = x.shape[3] + d * (k.weights.shape[3] - 1)
+            row_bytes = (k.in_channels + 2 * k.out_channels) * wp * 8 * x.shape[0]
+            monkeypatch.setattr(tensor_ops, "CONV_BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
+            out = conv2d(x, k, d)
+            assert np.array_equal(out, whole)
+            np.testing.assert_allclose(out, reference_conv2d(x, k, d), atol=1e-5)
+
+    # padding, accumulating and multiplying the whole map at once in float64
+    # peaks at 6.7 and 6.8 MiB on these two shapes
+    @pytest.mark.parametrize("c, o, d", [(32, 8, 1), (8, 16, 8)])
+    def test_peak_memory_row_blocks(self, c, o, d):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((1, c, 128, 128)).astype(np.float32)
+        k = Kernel2D(rng.standard_normal((o, c, 3, 3)), rng.standard_normal(o))
+        out_bytes = o * 128 * 128 * 4
+        assert traced_peak(lambda: conv2d(x, k, d)) <= out_bytes + 2 * 2**20
 
     def test_dilation_upsample_commutation(self):
         # dilated conv on a nearest-upsampled map matches standard conv on
