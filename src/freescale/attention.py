@@ -120,35 +120,39 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
 
 
 def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Stack the grid's crops of a [1,C,H,W] map, in row-major order, into
-    one [P,C,h,w] array."""
+    """Stack the grid's crops of each map of an [N,C,H,W] batch into one
+    [N*P,C,h,w] array, map-major, each map's crops in row-major order."""
     h_in = as_f32(h_in)
-    if h_in.ndim != 4 or h_in.shape[0] != 1 or h_in.shape[2:] != (grid.height, grid.width):
+    if h_in.ndim != 4 or h_in.shape[2:] != (grid.height, grid.width):
         raise ValueError(
             f"feature shape {h_in.shape} does not match grid {grid.height}x{grid.width}"
         )
     return np.stack(
-        [h_in[0, :, top : top + grid.window_h, left : left + grid.window_w]
-         for top, left in grid.positions]
+        [m[:, top : top + grid.window_h, left : left + grid.window_w]
+         for m in h_in for top, left in grid.positions]
     )
 
 
 def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Reassemble a [P,C,h,w] crop stack onto the full [1,C,H,W] map,
-    averaging overlapped pixels."""
+    """Reassemble an [N*P,C,h,w] crop stack (map-major, as
+    shifted_crop_sampling lays it out) onto [N,C,H,W] maps, averaging
+    overlapped pixels."""
     patches = as_f32(patches)
-    expected = (grid.count, grid.window_h, grid.window_w)
-    if patches.ndim != 4 or patches.shape[:1] + patches.shape[2:] != expected:
+    if (patches.ndim != 4 or patches.shape[2:] != (grid.window_h, grid.window_w)
+            or len(patches) % grid.count):
         raise ValueError(
-            f"expected {grid.count} patches of {grid.window_h}x{grid.window_w}, "
+            f"expected a multiple of {grid.count} patches of {grid.window_h}x{grid.window_w}, "
             f"got shape {patches.shape}"
         )
-    acc = np.zeros((1, patches.shape[1], grid.height, grid.width), dtype=np.float64)
+    n = len(patches) // grid.count
+    acc = np.zeros((n, patches.shape[1], grid.height, grid.width), dtype=np.float64)
     cover = np.zeros((grid.height, grid.width), dtype=np.float64)
-    for patch, (top, left) in zip(patches, grid.positions):
-        acc[0, :, top : top + grid.window_h, left : left + grid.window_w] += patch
+    stacks = patches.reshape(n, grid.count, *patches.shape[1:])
+    for p, (top, left) in enumerate(grid.positions):
+        acc[:, :, top : top + grid.window_h, left : left + grid.window_w] += stacks[:, p]
         cover[top : top + grid.window_h, left : left + grid.window_w] += 1.0
-    return (acc / cover).astype(np.float32)
+    acc /= cover
+    return acc.astype(np.float32)
 
 
 def scale_fusion(h_global: np.ndarray, h_local: np.ndarray, blur: BlurSpec) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Command-line front end: generation runs, baseline benchmarking, and
 oracle verification. Standard output is line-oriented key=value; manifests
-are JSON; images are binary PPM (plus PNG when Pillow is importable).
+are JSON; images are binary PPM.
 
 Exit codes: 0 ok, 1 oracle failure, 2 config error, 3 numeric failure.
 """
@@ -42,14 +42,11 @@ def _load_config(path: str) -> CascadeConfig:
         raise ConfigError(str(e)) from e
 
 
-def _write_png(path: Path, image: np.ndarray) -> bool:
-    try:
-        from PIL import Image
-    except ImportError:
-        return False
-    arr = np.round(np.clip(image[0], 0.0, 1.0) * 255.0).astype(np.uint8)
-    Image.fromarray(arr.transpose(1, 2, 0), mode="RGB").save(path)
-    return True
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _load_mask(path: str) -> np.ndarray:
@@ -73,12 +70,10 @@ def cmd_generate(args) -> int:
     manifest = dict(result["manifest"])
     manifest["output_sha256"] = checksum
     fileio.write_manifest(f"{out}.manifest.json", manifest)
-    png_written = _write_png(out.with_suffix(".png"), result["image"])
 
     print(f"out={out}")
     print(f"manifest={out}.manifest.json")
     print(f"checksum={checksum}")
-    print(f"png={'yes' if png_written else 'no'}")
     for record in manifest["levels"]:
         print(
             f"level={record['level']} wall_ms={record['wall_ms']} "
@@ -139,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time cascade vs direct inference")
     bench.add_argument("--config", required=True)
-    bench.add_argument("--repeat", type=int, default=3)
+    bench.add_argument("--repeat", type=_positive_int, default=3)
     bench.add_argument("--arm", choices=("both", "direct", "cascade"), default="both")
     bench.set_defaults(func=cmd_bench)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionWeights, FusionConfig, fused_attention, self_attention
-from .tensor_ops import Kernel2D, as_f32, conv2d, linear, upsample
+from .tensor_ops import Kernel2D, as_f32, conv2d, linear, tile_rows, upsample
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,32 @@ def init_weights(config: UNetConfig, seed: int) -> WeightSet:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    # sigmoid via tanh avoids overflow for large negative inputs
-    return (x * 0.5 * (1.0 + np.tanh(0.5 * x))).astype(np.float32)
+    # sigmoid via tanh avoids overflow for large negative inputs; the same
+    # float32 products as x * 0.5 * (1 + tanh(0.5 * x)), in two buffers
+    half = x * 0.5
+    t = np.tanh(half)
+    t += 1.0
+    half *= t
+    return half
 
 
 def _channel_norm(h: np.ndarray) -> np.ndarray:
     """Per-position RMS normalization over channels; keeps activations O(1)
-    so the sampler stays stable at any resolution."""
-    rms = np.sqrt(np.mean(h.astype(np.float64) ** 2, axis=1, keepdims=True) + 1e-5)
-    return (h / rms).astype(np.float32)
+    so the sampler stays stable at any resolution.
+
+    Runs in blocks of rows, so the float64 squares are one block at a time
+    and not the whole map; each position's channel sum is unchanged.
+    """
+    n, c, hh, ww = h.shape
+    rows = tile_rows(hh, n * c * ww * 8)
+    out = np.empty(h.shape, dtype=np.float32)
+    for r0 in range(0, hh, rows):
+        src = h[:, :, r0 : r0 + rows]
+        sq = src.astype(np.float64)
+        sq *= sq
+        rms = np.sqrt(np.mean(sq, axis=1, keepdims=True) + 1e-5)
+        np.divide(src, rms, out=out[:, :, r0 : r0 + rows], casting="same_kind")
+    return out
 
 
 def _time_embedding(t: int, dim: int) -> np.ndarray:
@@ -171,8 +188,7 @@ def _avg_pool2(h: np.ndarray) -> np.ndarray:
 def _conv_block(h, e, weights: WeightSet, name: str, dilation: int) -> np.ndarray:
     """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU."""
     h = _silu(conv2d(_channel_norm(h), weights.kernel(f"{name}.conv_a"), dilation))
-    bias = linear(e[None, :], weights[f"{name}.emb.w"], weights[f"{name}.emb.b"])[0]
-    h = (h + bias[None, :, None, None]).astype(np.float32)
+    h += linear(e, weights[f"{name}.emb.w"], weights[f"{name}.emb.b"])[:, :, None, None]
     return _silu(conv2d(h, weights.kernel(f"{name}.conv_b"), dilation))
 
 
@@ -184,7 +200,8 @@ def predict_noise(
     dilation: dict | None = None,
     fusion: FusionConfig | None = None,
 ) -> np.ndarray:
-    """Forward pass of the toy UNet.
+    """Forward pass of the toy UNet over an [N,C,H,W] batch, one cond row
+    per map ([N, cond_dim]); every map's output equals its N = 1 run.
 
     dilation maps each block group ("down", "mid", "up") to the dilation of
     its convolutions (DilationPolicy.group_dilation gives the restrained
@@ -203,15 +220,17 @@ def predict_noise(
     div = 2**cfg.down_blocks
     if z_t.shape[2] % div or z_t.shape[3] % div:
         raise ValueError(f"spatial dims must be divisible by {div}, got {z_t.shape[2:]}")
-    if cond.shape != (cfg.cond_dim,):
-        raise ValueError(f"cond must have length {cfg.cond_dim}, got shape {cond.shape}")
+    if cond.shape != (z_t.shape[0], cfg.cond_dim):
+        raise ValueError(
+            f"cond must have shape {(z_t.shape[0], cfg.cond_dim)}, got {cond.shape}"
+        )
 
     dilation = dilation or {}
 
     emb = _time_embedding(t, cfg.time_embedding_dim)
-    e = np.concatenate([emb, cond])
-    e = _silu(linear(e[None, :], weights["temb.fc1.w"], weights["temb.fc1.b"]))
-    e = linear(e, weights["temb.fc2.w"], weights["temb.fc2.b"])[0]
+    e = np.concatenate([np.tile(emb, (len(cond), 1)), cond], axis=1)
+    e = _silu(linear(e, weights["temb.fc1.w"], weights["temb.fc1.b"]))
+    e = linear(e, weights["temb.fc2.w"], weights["temb.fc2.b"])
 
     h = conv2d(z_t, weights.kernel("stem"), 1)
     skips = []
@@ -229,12 +248,12 @@ def predict_noise(
     )
     if fusion is not None:
         grid = fusion.grid_for(h.shape[2], h.shape[3])
-        h = (h + fused_attention(h, attn_w, grid, fusion.blur)).astype(np.float32)
+        h += fused_attention(h, attn_w, grid, fusion.blur)
     else:
-        h = (h + self_attention(h, attn_w)).astype(np.float32)
+        h += self_attention(h, attn_w)
 
     for i in reversed(range(cfg.down_blocks)):
-        h = np.concatenate([upsample(h, 2, "nearest"), skips[i]], axis=1)
+        h = np.concatenate([upsample(h, 2, "nearest"), skips.pop()], axis=1)
         h = _conv_block(h, e, weights, f"up{i}", dilation.get("up", 1))
 
     return conv2d(_channel_norm(h), weights.kernel("head"), 1)

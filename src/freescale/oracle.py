@@ -29,7 +29,7 @@ class CheckResult:
     max_dev: float
 
 
-def _reference_conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int) -> np.ndarray:
+def reference_conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int) -> np.ndarray:
     """Triple-loop direct summation with zero padding; the slow oracle."""
     n, c, h, w = x.shape
     kh, kw = kernel.weights.shape[2:]
@@ -65,7 +65,7 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
     for (kh, kw), d, (h, w) in cases:
         x = rng.standard_normal((2, 2, h, w)).astype(np.float32)
         k = Kernel2D(rng.standard_normal((3, 2, kh, kw)), rng.standard_normal(3))
-        dev = float(np.max(np.abs(conv2d(x, k, d) - _reference_conv2d(x, k, d))))
+        dev = float(np.max(np.abs(conv2d(x, k, d) - reference_conv2d(x, k, d))))
         max_dev = max(max_dev, dev)
     # commutation: dilated conv on nearest-upsampled input matches standard
     # conv on the original at interior sampled positions
@@ -85,7 +85,7 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
                      time_embedding_dim=16, cond_dim=8)
     weights = init_weights(cfg, 11)
     z = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
-    cond = rng.standard_normal(8).astype(np.float32)
+    cond = rng.standard_normal((1, 8)).astype(np.float32)
     dilation = DilationPolicy(dilation_factor=2, stop_fraction=0.0).group_dilation(0, 10)
     if mutate_dilate_up:
         dilation = dict(dilation, up=2)

@@ -233,16 +233,17 @@ def _denoise_loop(
     anchor_noise: np.ndarray | None = None,
     ctrl: DetailControl | None = None,
 ) -> np.ndarray:
-    cond = prompt_embedding(config.prompt, config.cond_dim)
-    uncond = np.zeros(config.cond_dim, dtype=np.float32)
+    # both guidance branches run as one batch of two: row 0 unconditional,
+    # row 1 conditional
+    conds = np.stack([np.zeros(config.cond_dim, dtype=np.float32),
+                      prompt_embedding(config.prompt, config.cond_dim)])
     total = len(timesteps)
     for i, t in enumerate(timesteps):
         t = int(t)
         t_prev = int(timesteps[i + 1]) if i + 1 < total else 0
         dilation = policy.group_dilation(i, total) if policy is not None else None
-        eps_c = predict_noise(z, t, cond, weights, dilation, fusion)
-        eps_u = predict_noise(z, t, uncond, weights, dilation, fusion)
-        eps = cfg_combine(eps_u, eps_c, config.guidance_scale)
+        eps = predict_noise(np.concatenate([z, z]), t, conds, weights, dilation, fusion)
+        eps = cfg_combine(eps[:1], eps[1:], config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
         if ctrl is not None and t_prev > 0:
             z_anchor = forward_noise(anchor, t_prev, anchor_noise, sched)

@@ -13,14 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# conv2d's float64 working set per block of output rows (padded input,
-# accumulator and product buffer); about 1 MiB keeps each tap GEMM large
-# enough to run at full speed.
+# float64 working set per tile of rows: conv2d's padded input, accumulator
+# and product buffer, or channel norm's squares; about 1 MiB keeps each tap
+# GEMM large enough to run at full speed.
 CONV_BLOCK_BYTES = 1 << 20
 
 
 def as_f32(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
+
+
+def tile_rows(height: int, row_bytes: int) -> int:
+    """Rows per tile of a map whose rows each need row_bytes of working
+    set, so that a tile stays within CONV_BLOCK_BYTES; at least one row."""
+    return max(1, min(height, CONV_BLOCK_BYTES // max(row_bytes, 1)))
 
 
 @dataclass(frozen=True)
@@ -94,8 +100,7 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     # zero row. In rows of width wp, tap (i, j) is one GEMM on the rb*wp
     # contiguous columns at offset i*d*wp + j*d; the spare row keeps the last
     # slice in bounds and the wp - w wrap-around columns are cropped.
-    row_bytes = (c + 2 * o) * wp * 8 * n
-    rows = max(1, min(h, CONV_BLOCK_BYTES // max(row_bytes, 1)))
+    rows = tile_rows(h, (c + 2 * o) * wp * 8 * n)
     xb = np.zeros((n, c, rows + 2 * ph + 1, wp), dtype=np.float64)
     flat = xb.reshape(n, c, -1)
     taps = np.ascontiguousarray(kernel.weights.transpose(2, 3, 0, 1), dtype=np.float64)

@@ -229,8 +229,8 @@ def test_criterion_09_degradation():
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
         eps = cfg_combine(
-            predict_noise(z, t, uncond, weights),
-            predict_noise(z, t, cond, weights),
+            predict_noise(z, t, uncond[None], weights),
+            predict_noise(z, t, cond[None], weights),
             config.guidance_scale,
         )
         z = ddim_step(z, eps, t, t_prev, sched)

@@ -141,6 +141,23 @@ class TestReconstructAverage:
             back = reconstruct_average(shifted_crop_sampling(x, grid), grid)
             np.testing.assert_allclose(back, x, atol=1e-6)
 
+    def test_batch_equals_per_map(self):
+        grid = PatchGrid(12, 12, 6, 6, 3, 3)
+        x = RNG.standard_normal((2, 3, 12, 12)).astype(np.float32)
+        patches = shifted_crop_sampling(x, grid)
+        assert patches.shape == (2 * grid.count, 3, 6, 6)
+        singles = [shifted_crop_sampling(x[i : i + 1], grid) for i in range(2)]
+        assert np.array_equal(patches, np.concatenate(singles))
+        patches = RNG.standard_normal(patches.shape).astype(np.float32)
+        back = reconstruct_average(patches, grid)
+        assert back.shape == x.shape
+        per_map = [reconstruct_average(patches[i * grid.count : (i + 1) * grid.count], grid)
+                   for i in range(2)]
+        assert np.array_equal(back, np.concatenate(per_map))
+        np.testing.assert_allclose(
+            reconstruct_average(shifted_crop_sampling(x, grid), grid), x, atol=1e-6
+        )
+
     def test_full_overlap_mean(self):
         grid = PatchGrid(4, 4, 4, 4, 1, 1)
         a = np.full((1, 1, 4, 4), 3.0, np.float32)

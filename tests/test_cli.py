@@ -148,6 +148,14 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("repeat", ["0", "-3"])
+    def test_non_positive_repeat_exits_2(self, tmp_path, capsys, repeat):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--config", str(cfg), "--repeat", repeat])
+        assert exit_info.value.code == 2
+        assert "--repeat: must be a positive integer" in capsys.readouterr().err
+
     def test_untiled_window_runs_without_fusion(self, tmp_path):
         cfg = write_config(tmp_path, base_latent_size=20, fusion_enabled=False)
         out = tmp_path / "img.ppm"

@@ -3,17 +3,21 @@ import hashlib
 import numpy as np
 import pytest
 
+from freescale import tensor_ops
 from freescale.attention import FusionConfig
 from freescale.denoiser import (
     DilationPolicy,
     UNetConfig,
     _avg_pool2,
+    _channel_norm,
+    _silu,
     cfg_combine,
     init_weights,
     predict_noise,
     prompt_embedding,
 )
 from freescale.tensor_ops import BlurSpec
+from test_tensor_ops import traced_peak
 
 SMALL = UNetConfig(latent_channels=3, base_width=8, down_blocks=2,
                    time_embedding_dim=16, cond_dim=8)
@@ -22,7 +26,7 @@ SMALL = UNetConfig(latent_channels=3, base_width=8, down_blocks=2,
 def small_inputs(size=16, seed=0):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((1, SMALL.latent_channels, size, size)).astype(np.float32)
-    cond = rng.standard_normal(SMALL.cond_dim).astype(np.float32)
+    cond = rng.standard_normal((1, SMALL.cond_dim)).astype(np.float32)
     return z, cond
 
 
@@ -106,7 +110,7 @@ class TestPredictNoise:
         for size in (8, 16):
             for _ in range(50):
                 z = (rng.standard_normal((1, 3, size, size)) * 10).astype(np.float32)
-                cond = rng.standard_normal(8).astype(np.float32)
+                cond = rng.standard_normal((1, 8)).astype(np.float32)
                 t = int(rng.integers(1, 1001))
                 out = predict_noise(z, t, cond, ws)
                 assert np.all(np.isfinite(out))
@@ -117,8 +121,69 @@ class TestPredictNoise:
         z, cond = small_inputs()
         with pytest.raises(ValueError, match="divisible"):
             predict_noise(z[:, :, :10, :10], 10, cond, ws)
-        with pytest.raises(ValueError, match="cond"):
-            predict_noise(z, 10, cond[:4], ws)
+        for bad in (cond[:, :4], cond[0], np.concatenate([cond, cond])):
+            with pytest.raises(ValueError, match="cond"):
+                predict_noise(z, 10, bad, ws)
+
+
+class TestBatchRows:
+    # the two rows of one batch are the two guidance branches of a DDIM step
+    @pytest.mark.parametrize("blur", [None, BlurSpec("gaussian", sigma=1.0),
+                                      BlurSpec("ideal_lowpass", cutoff=0.25)])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_each_row_equals_its_single_run(self, factor, blur):
+        ws = init_weights(SMALL, 1)
+        z, cond = small_inputs()
+        conds = np.concatenate([np.zeros_like(cond), cond])
+        dilation = DilationPolicy(factor, stop_fraction=0.0).group_dilation(0, 10)
+        fusion = None if blur is None else FusionConfig(window=2, blur=blur)  # 9 patches
+        batch = predict_noise(np.concatenate([z, z]), 500, conds, ws, dilation, fusion)
+        for row in range(2):
+            single = predict_noise(z, 500, conds[row : row + 1], ws, dilation, fusion)
+            assert np.array_equal(batch[row : row + 1], single)
+        assert not np.array_equal(batch[0], batch[1])
+
+
+class TestElementwise:
+    @staticmethod
+    def old_channel_norm(h):
+        rms = np.sqrt(np.mean(h.astype(np.float64) ** 2, axis=1, keepdims=True) + 1e-5)
+        return (h / rms).astype(np.float32)
+
+    @staticmethod
+    def old_silu(x):
+        return (x * 0.5 * (1.0 + np.tanh(0.5 * x))).astype(np.float32)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    def test_channel_norm_bitwise_in_row_tiles(self, monkeypatch, rows):
+        rng = np.random.default_rng(43)
+        mags = 10.0 ** rng.uniform(-20, 20, (2, 16, 7, 6))
+        h = (rng.standard_normal(mags.shape) * mags).astype(np.float32)
+        if rows is not None:
+            row_bytes = 2 * 16 * 6 * 8
+            monkeypatch.setattr(tensor_ops, "CONV_BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
+        out = _channel_norm(h)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, self.old_channel_norm(h))
+
+    def test_silu_bitwise(self):
+        rng = np.random.default_rng(47)
+        x = (rng.standard_normal((2, 8, 9, 9)) * 10.0 ** rng.uniform(-8, 4, (2, 8, 9, 9)))
+        x = x.astype(np.float32)
+        x[0, 0, 0, :4] = [-1e30, 1e30, -0.0, np.float32(2.0**-140)]
+        out = _silu(x)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, self.old_silu(x))
+
+    # the whole-map float64 square and quotient peaked at 24.3 MiB here
+    def test_channel_norm_peak_memory(self):
+        h = np.random.default_rng(53).standard_normal((2, 64, 128, 128)).astype(np.float32)
+        assert traced_peak(lambda: _channel_norm(h)) <= h.nbytes + 3 * 2**20
+
+    # the old expression held three float32 maps at once
+    def test_silu_peak_memory(self):
+        x = np.random.default_rng(59).standard_normal((2, 64, 128, 128)).astype(np.float32)
+        assert traced_peak(lambda: _silu(x)) <= 2.25 * x.nbytes
 
 
 class TestAvgPool2:

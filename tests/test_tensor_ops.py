@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freescale import tensor_ops
+from freescale.oracle import reference_conv2d
 from freescale.tensor_ops import (
     BlurSpec,
     Kernel2D,
@@ -23,27 +24,6 @@ def identity_kernel(channels):
     for c in range(channels):
         w[c, c, 1, 1] = 1.0
     return Kernel2D(w, np.zeros(channels))
-
-
-def reference_conv2d(x, k, d):
-    """Triple-loop "same" convolution with zero padding and dilation d."""
-    n, c, h, w = x.shape
-    kh, kw = k.weights.shape[2:]
-    out = np.zeros((n, k.out_channels, h, w))
-    for b in range(n):
-        for o in range(k.out_channels):
-            for y in range(h):
-                for xx in range(w):
-                    acc = float(k.bias[o])
-                    for ci in range(c):
-                        for i in range(kh):
-                            for j in range(kw):
-                                sy = y + d * (i - kh // 2)
-                                sx = xx + d * (j - kw // 2)
-                                if 0 <= sy < h and 0 <= sx < w:
-                                    acc += float(x[b, ci, sy, sx]) * float(k.weights[o, ci, i, j])
-                    out[b, o, y, xx] = acc
-    return out.astype(np.float32)
 
 
 def traced_peak(fn):
