@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 oracle failure, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import statistics
@@ -36,10 +37,7 @@ def _load_config(path: str) -> CascadeConfig:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    try:
-        return CascadeConfig.from_dict(raw)
-    except (ValueError, TypeError) as e:  # ConfigError is a ValueError
-        raise ConfigError(str(e)) from e
+    return CascadeConfig.from_dict(raw)
 
 
 def _positive_int(text: str) -> int:
@@ -59,17 +57,20 @@ def _load_mask(path: str) -> np.ndarray:
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     mask = _load_mask(args.mask) if args.mask else None
     result = run(config, mask=mask)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    payload = fileio.write_ppm(out, result["image"])
-    checksum = hashlib.sha256(payload).hexdigest()
     manifest = dict(result["manifest"])
-    manifest["output_sha256"] = checksum
-    fileio.write_manifest(f"{out}.manifest.json", manifest)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        payload = fileio.write_ppm(out, result["image"])
+        checksum = hashlib.sha256(payload).hexdigest()
+        manifest["output_sha256"] = checksum
+        fileio.write_manifest(f"{out}.manifest.json", manifest)
+    except OSError as e:
+        raise ConfigError(f"cannot write {out}: {e}") from e
 
     print(f"out={out}")
     print(f"manifest={out}.manifest.json")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="run brute-force verification suites")
     orc.add_argument(
         "--check",
-        choices=("fusion", "ddim", "conv", "patch", "blend", "all"),
+        choices=(*oracle.CHECK_NAMES, "all"),
         default="all",
     )
     orc.add_argument(

@@ -9,7 +9,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -48,7 +48,7 @@ class NumericError(RuntimeError):
 
 # config field annotation -> the JSON values it accepts
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
-               "tuple": (list, tuple), "dict": dict}
+               "tuple": (list, tuple)}
 
 
 def _is_json(value, kind: str) -> bool:
@@ -60,8 +60,11 @@ def _is_json(value, kind: str) -> bool:
     return isinstance(value, _JSON_TYPES[kind]) and (kind != "float" or isfinite(value))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeConfig:
+    """One cascade run. A config checks itself when it is built, so one that
+    exists is valid. ``levels`` lists every level that runs: 1, 2, 4, ..."""
+
     prompt: str = ""
     levels: tuple = (1, 2, 4)
     total_timesteps: int = 1000
@@ -71,7 +74,6 @@ class CascadeConfig:
     upsample_space: str = "rgb"
     latent_upsample_mode: str = "nearest"
     alpha_default: float = 2.0
-    alpha_per_level: dict = field(default_factory=dict)
     blur_mode: str = "gaussian"
     blur_sigma: float = 1.0
     blur_cutoff: float = 0.25
@@ -89,29 +91,25 @@ class CascadeConfig:
     alpha_hi: float = 3.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _is_json(value, f.type):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         levels = tuple(self.levels)
+        object.__setattr__(self, "levels", levels)
         if not all(_is_json(r, "int") for r in levels):
             raise ConfigError(f"levels must be integers, got {list(levels)}")
-        if not levels:
-            raise ConfigError("levels must be non-empty")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError("levels must be ascending")
-        if levels[0] != 1:
-            raise ConfigError("levels must start at 1")
-        for a, b in zip(levels, levels[1:]):
-            ratio = b // a
-            if a * ratio != b or ratio & (ratio - 1):
-                raise ConfigError("each level must be a power-of-two multiple of the last")
-        self.levels = levels
+        if not levels or levels != tuple(2**i for i in range(len(levels))):
+            raise ConfigError(f"levels must be 1, 2, 4, ... (each the double of the last), "
+                              f"got {list(levels)}")
         if not (1 <= self.injection_step <= self.total_timesteps):
             raise ConfigError("injection_step must lie in [1, total_timesteps]")
         if self.upsample_space not in ("rgb", "latent"):
             raise ConfigError("upsample_space must be 'rgb' or 'latent'")
         if self.latent_upsample_mode not in ("nearest", "bilinear"):
             raise ConfigError("latent_upsample_mode must be 'nearest' or 'bilinear'")
-        alphas = (self.alpha_default, self.alpha_lo, self.alpha_hi, *self.alpha_per_level.values())
-        if not all(a >= MIN_ALPHA for a in alphas):  # also rejects NaN
+        if not all(a >= MIN_ALPHA for a in (self.alpha_default, self.alpha_lo, self.alpha_hi)):
             raise ConfigError(f"alpha values must be >= {MIN_ALPHA}")
         try:
             self.prompt.encode("utf-8")  # prompt_embedding hashes these bytes
@@ -121,37 +119,39 @@ class CascadeConfig:
             raise ConfigError("seed must be non-negative")
         if self.vae_patch < 1:
             raise ConfigError("vae_patch must be >= 1")
+        try:
+            self.unet_config()  # down_blocks >= 1
+            DilationPolicy(1, self.dilation_stop_fraction)
+            last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
+            fusion = self.fusion()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         div = 2**self.down_blocks
         if self.base_latent_size % div:
             raise ConfigError(f"base_latent_size must be divisible by {div}")
-        # window on the mid-block attention map; fusion grids need >= 2
-        window = self.base_latent_size // div
-        if window < 2:
+        # fusion grids need a window of >= 2
+        if fusion.window < 2:
             raise ConfigError("base_latent_size too small for the attention window")
-        try:
-            blur = self.blur()
-            self.unet_config()
-            DilationPolicy(1, self.dilation_stop_fraction)
-            last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        level = 2
-        while self.fusion_enabled and level <= levels[-1]:  # every level run() walks
-            side = window * level
+        for level in levels[1:] if self.fusion_enabled else ():
+            side = fusion.window * level
             try:
-                FusionConfig(window, blur).grid_for(side, side)
+                fusion.grid_for(side, side)
             except ValueError as e:
                 raise ConfigError(
                     f"base_latent_size {self.base_latent_size}: the attention window "
-                    f"{window} does not tile the {side}x{side} mid map of level {level} ({e})"
+                    f"{fusion.window} does not tile the {side}x{side} mid map of level {level} ({e})"
                 ) from e
-            level *= 2
         # above the smallest DDIM timestep the cascade levels run no step at all
         if len(levels) > 1 and last > self.injection_step:
             raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
 
     def blur(self) -> BlurSpec:
         return BlurSpec(mode=self.blur_mode, sigma=self.blur_sigma, cutoff=self.blur_cutoff)
+
+    def fusion(self) -> FusionConfig:
+        """Scale fusion on the mid-block attention map: the window is that
+        map's side at the base level, so level r's map is r windows across."""
+        return FusionConfig(window=self.base_latent_size // 2**self.down_blocks, blur=self.blur())
 
     def unet_config(self) -> UNetConfig:
         return UNetConfig(
@@ -173,22 +173,10 @@ class CascadeConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeConfig":
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - set(types))
+        unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for name, value in raw.items():
-            if not _is_json(value, types[name]):
-                raise ConfigError(f"{name} must be of type {types[name]}, got {value!r}")
-        cfg = cls(**raw)
-        cfg.levels = tuple(cfg.levels)
-        per_level = cfg.alpha_per_level
-        if not all(str(k).removeprefix("-").isdecimal() and _is_json(v, "float")
-                   for k, v in per_level.items()):
-            raise ConfigError(f"alpha_per_level must map integer levels to numbers: {per_level}")
-        cfg.alpha_per_level = {int(k): float(v) for k, v in per_level.items()}
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
 
 def nearest_resize(map2d: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -218,7 +206,7 @@ def _alpha_map_for_level(
         alpha_img = config.alpha_lo + mask * (config.alpha_hi - config.alpha_lo)
         n = config.base_latent_size * level
         return nearest_resize(alpha_img, n, n)[None, None]
-    return np.asarray(config.alpha_per_level.get(level, config.alpha_default))
+    return np.asarray(config.alpha_default)
 
 
 def _denoise_loop(
@@ -268,40 +256,36 @@ def generate_base(config: CascadeConfig, weights: WeightSet, sched: NoiseSchedul
 
 def cascade_level(
     z0_prev: np.ndarray,
-    r_from: int,
-    r_to: int,
+    level: int,
     config: CascadeConfig,
     weights: WeightSet,
     vae_spec: AutoencoderSpec,
     sched: NoiseSchedule,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One resolution doubling: upsample the clean latent, re-noise it at
-    the injection step, then denoise the tail of the DDIM subsequence with
-    restrained dilation, fused attention, and detail blending.
+    """Produce ``level`` from the clean latent of level / 2: upsample it,
+    re-noise it at the first DDIM timestep at or below the injection step,
+    then denoise the rest of the DDIM subsequence with restrained dilation,
+    fused attention, and detail blending.
     """
-    if r_to != 2 * r_from:
-        raise ConfigError(f"cascade doubles resolution per call, got {r_from} -> {r_to}")
     phi = phi_upsample(z0_prev, 2, config.upsample_space, config.latent_upsample_mode, vae_spec)
-    rng = np.random.default_rng([config.seed, r_to])
+    rng = np.random.default_rng([config.seed, level])
     # one noise draw per level: it drives the injection and stays the anchor
     # noise for every blend step, so the anchor trajectory is consistent
     anchor_noise = rng.standard_normal(phi.shape).astype(np.float32)
-    z = forward_noise(phi, config.injection_step, anchor_noise, sched)
+    # the latent carries the noise level the sampler's first step assumes
     timesteps = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
+    z = forward_noise(phi, timesteps[0], anchor_noise, sched)
 
     policy = None
     if config.dilation_enabled:
         policy = DilationPolicy(
-            dilation_factor=r_to, stop_fraction=config.dilation_stop_fraction
+            dilation_factor=level, stop_fraction=config.dilation_stop_fraction
         )
-    fusion = None
-    if config.fusion_enabled:
-        window = config.base_latent_size // 2**config.down_blocks
-        fusion = FusionConfig(window=window, blur=config.blur())
+    fusion = config.fusion() if config.fusion_enabled else None
     ctrl = None
     if config.blend_enabled:
-        ctrl = DetailControl(_alpha_map_for_level(config, r_to, mask))
+        ctrl = DetailControl(_alpha_map_for_level(config, level, mask))
 
     return _denoise_loop(
         z,
@@ -330,7 +314,6 @@ def latent_to_image(z0: np.ndarray, vae_spec: AutoencoderSpec) -> np.ndarray:
 
 def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
     """Execute the full cascade; returns {"image", "latent", "manifest"}."""
-    config.validate()
     sched = make_schedule(config.total_timesteps, config.steps)
     weights = init_weights(config.unet_config(), config.seed)
     vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
@@ -340,11 +323,9 @@ def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
     z0 = generate_base(config, weights, sched)
     level_stats.append(_level_record(1, z0, t0))
 
-    level = 1
-    while level < config.levels[-1]:
+    for level in config.levels[1:]:
         t0 = time.perf_counter()
-        z0 = cascade_level(z0, level, 2 * level, config, weights, vae_spec, sched, mask)
-        level *= 2
+        z0 = cascade_level(z0, level, config, weights, vae_spec, sched, mask)
         level_stats.append(_level_record(level, z0, t0))
 
     image = latent_to_image(z0, vae_spec)
@@ -370,7 +351,6 @@ def _level_record(level: int, z0: np.ndarray, t_start: float) -> dict:
 def direct_generate(config: CascadeConfig, level: int) -> np.ndarray:
     """Plain DDIM inference directly at the given resolution level (the
     benchmarking baseline; no cascade machinery)."""
-    config.validate()
     sched = make_schedule(config.total_timesteps, config.steps)
     weights = init_weights(config.unet_config(), config.seed)
     return _plain_ddim(config, weights, sched, level, 1000 + level)

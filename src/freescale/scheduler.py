@@ -49,7 +49,8 @@ def make_schedule(total_steps: int, steps: int) -> NoiseSchedule:
 def forward_noise(z0: np.ndarray, t: int, noise: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Closed-form forward noising: sqrt(ab_t) * z0 + sqrt(1 - ab_t) * noise.
 
-    The cascade's noise injection is this at t = K on the upsampled latent.
+    The cascade's noise injection is this on the upsampled latent, at the
+    first DDIM timestep at or below K.
     """
     z0 = as_f32(z0)
     noise = as_f32(noise)

@@ -217,15 +217,15 @@ def test_criterion_09_degradation():
     weights = init_weights(config.unet_config(), config.seed)
     vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
     z0 = generate_base(config, weights, sched)
-    got = cascade_level(z0, 1, 2, config, weights, vae_spec, sched)
+    got = cascade_level(z0, 2, config, weights, vae_spec, sched)
 
     phi = phi_upsample(z0, 2, config.upsample_space, config.latent_upsample_mode, vae_spec)
     rng = np.random.default_rng([config.seed, 2])
     noise = rng.standard_normal(phi.shape).astype(np.float32)
-    z = forward_noise(phi, config.injection_step, noise, sched)
+    ts = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
+    z = forward_noise(phi, ts[0], noise, sched)
     cond = prompt_embedding(config.prompt, config.cond_dim)
     uncond = np.zeros(config.cond_dim, np.float32)
-    ts = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
     for i, t in enumerate(ts):
         t_prev = ts[i + 1] if i + 1 < len(ts) else 0
         eps = cfg_combine(

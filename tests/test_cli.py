@@ -1,11 +1,14 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freescale import fileio
 from freescale.cli import main
+from freescale.pipeline import CascadeConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -45,7 +48,7 @@ class TestGenerate:
     def test_descending_levels_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, levels=[2, 1])
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")]) == 2
-        assert "levels must be ascending" in capsys.readouterr().err
+        assert "levels must be 1, 2, 4, ..." in capsys.readouterr().err
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, spurious=True)
@@ -101,6 +104,25 @@ class TestGenerate:
                      "--seed", "-1"]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["directory", "under_file"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path)
+        if where == "directory":
+            out = tmp_path  # an existing directory
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "x.ppm"  # its parent is a regular file
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
+def test_readme_example_loads():
+    # the minimal config in README.md obeys the config rules
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"Minimal example:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    config = CascadeConfig.from_dict(json.loads(example))
+    assert config.levels == (1, 2, 4)
+
 
 class TestBench:
     def test_both_arms_report_ratio(self, tmp_path, capsys):
@@ -123,11 +145,11 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"alpha_per_level": {"x": 1}},
+            {"alpha_per_level": {"2": 1.0}},  # no field: every level uses alpha_default
             {"steps": "10"},
             {"steps": 10, "injection_step": 50},
             {"seed": -1},
-            {"alpha_per_level": {"2": -1}},
+            {"levels": [1, 4]},  # levels lists every doubling
             {"alpha_lo": 0.0005},
             {"levels": [1, 2.7]},
             {"upsample_space": "latent", "latent_upsample_mode": "cubic"},

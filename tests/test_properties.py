@@ -77,7 +77,6 @@ _OUT_OF_RANGE = {
     "str": st.text(max_size=8),
     "bool": st.booleans(),
     "tuple": st.lists(st.integers(-2, 5), max_size=4),
-    "dict": st.dictionaries(st.sampled_from(["2", "-1", "x"]), st.floats(-2.0, 3.0), max_size=2),
 }
 _FIELDS = {f.name: f.type for f in dataclasses.fields(CascadeConfig)}
 
@@ -91,7 +90,6 @@ def test_bad_field_is_config_error_or_harmless(name, data):
         config = CascadeConfig.from_dict(dict(_SMALL, **{name: value}))
     except ConfigError:
         return
-    # without a mask the run reads alpha_default/alpha_per_level, with one
-    # alpha_lo/alpha_hi
+    # without a mask the run reads alpha_default, with one alpha_lo/alpha_hi
     for mask in (None, MASK):
         assert np.all(np.isfinite(run(config, mask=mask)["latent"]))
