@@ -8,11 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import BlurSpec, as_f32, linear, lowpass, softmax_rows
-
-# query rows per block of self_attention; a map with fewer tokens (a fusion
-# patch stack, a small mid map) is one block
-ATTENTION_BLOCK_ROWS = 128
+from .tensor_ops import BlurSpec, as_f32, linear, lowpass, softmax_rows, tile_rows
 
 
 @dataclass(frozen=True)
@@ -102,13 +98,15 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     v = linear(tokens, weights.w_v).astype(np.float64)
     t = hh * ww
     scale = np.sqrt(float(weights.dim))
-    # Query rows go in blocks, so the scores are [N, rows, T], never the
-    # whole [N, T, T]. Softmax rows are independent and neither GEMM's inner
-    # dimension changes, so every rounding point is where it would be in one
-    # pass. Each buffer is dropped once its rounded copy exists.
+    # Query rows go in tiles, so the scores are [N, rows, T] (N * T * 8 bytes
+    # a row), never the whole [N, T, T]. Softmax rows are independent and
+    # neither GEMM's inner dimension changes, so every rounding point is
+    # where it would be in one pass. Each buffer is dropped once its rounded
+    # copy exists.
+    rows = tile_rows(t, n * t * 8)
     out = np.empty((n, t, c), dtype=np.float64)
-    for r0 in range(0, t, ATTENTION_BLOCK_ROWS):
-        r1 = min(r0 + ATTENTION_BLOCK_ROWS, t)
+    for r0 in range(0, t, rows):
+        r1 = min(r0 + rows, t)
         scores = q[:, r0:r1] @ k_t
         scores /= scale
         scores = scores.astype(np.float32)
@@ -192,15 +190,13 @@ def fused_attention(
 class FusionConfig:
     """Per-level fusion settings: patch window size on the attention map at
     the training resolution, and the low-pass filter used for fusion.
-    Strides default to half the window.
+    The stride is half the window (at least 1); a map the window does not
+    fit or tile is a ValueError.
     """
 
     window: int
     blur: BlurSpec
 
     def grid_for(self, height: int, width: int) -> PatchGrid:
-        h = min(self.window, height)
-        w = min(self.window, width)
-        stride_h = max(h // 2, 1) if height > h else h
-        stride_w = max(w // 2, 1) if width > w else w
-        return PatchGrid(height, width, h, w, stride_h, stride_w)
+        s = max(self.window // 2, 1)
+        return PatchGrid(height, width, self.window, self.window, s, s)

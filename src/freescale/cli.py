@@ -59,12 +59,22 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     mask = _load_mask(args.mask) if args.mask else None
-    result = run(config, mask=mask)
-
     out = Path(args.out)
-    manifest = dict(result["manifest"])
+    created = not out.exists()
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
+        out.open("ab").close()  # an unwritable --out fails before any level runs
+    except OSError as e:
+        raise ConfigError(f"cannot write {out}: {e}") from e
+    try:
+        result = run(config, mask=mask)
+    except BaseException:
+        if created:
+            out.unlink(missing_ok=True)  # leave no empty image behind
+        raise
+
+    manifest = dict(result["manifest"])
+    try:
         payload = fileio.write_ppm(out, result["image"])
         checksum = hashlib.sha256(payload).hexdigest()
         manifest["output_sha256"] = checksum
@@ -109,7 +119,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    names = oracle.CHECK_NAMES if args.check == "all" else (args.check,)
+    names = oracle.CHECKS if args.check == "all" else (args.check,)
     results = oracle.run_checks(names, mutate=args.mutate)
     ok = True
     for r in results:
@@ -140,14 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     orc = sub.add_parser("oracle", help="run brute-force verification suites")
-    orc.add_argument(
-        "--check",
-        choices=(*oracle.CHECK_NAMES, "all"),
-        default="all",
-    )
+    orc.add_argument("--check", choices=(*oracle.CHECKS, "all"), default="all")
     orc.add_argument(
         "--mutate",
-        choices=("fusion-sign", "dilate-up"),
+        choices=tuple(oracle.MUTATIONS),
         default=None,
         help=argparse.SUPPRESS,  # self-test: inject a known-bad variant
     )

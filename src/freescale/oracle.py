@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,8 +19,6 @@ from .attention import PatchGrid, reconstruct_average, scale_fusion, shifted_cro
 from .denoiser import DilationPolicy, UNetConfig, init_weights, predict_noise
 from .scheduler import decay_factor, ddim_step, forward_noise, make_schedule
 from .tensor_ops import BlurSpec, Kernel2D, conv2d, lowpass, upsample
-
-CHECK_NAMES = ("conv", "ddim", "fusion", "patch", "blend")
 
 
 @dataclass(frozen=True)
@@ -181,24 +180,20 @@ def _mutated_fusion(g, l, blur):
     ).astype(np.float32)
 
 
+CHECKS = {"conv": check_conv, "ddim": check_ddim, "fusion": check_fusion,
+          "patch": check_patch, "blend": check_blend}
+# name -> (the check it must break, that check run on a known-bad variant)
+MUTATIONS = {
+    "fusion-sign": ("fusion", partial(check_fusion, fusion_fn=_mutated_fusion)),
+    "dilate-up": ("conv", partial(check_conv, mutate_dilate_up=True)),
+}
+
+
 def run_checks(names, mutate: str | None = None) -> list[CheckResult]:
-    """Run the named check suites; mutate injects a known-bad variant into
-    the matching check to demonstrate the oracle catches it."""
-    if mutate not in (None, "fusion-sign", "dilate-up"):
-        raise ValueError(f"unknown mutation {mutate!r}")
-    results = []
-    for name in names:
-        if name == "conv":
-            results.append(check_conv(mutate_dilate_up=(mutate == "dilate-up")))
-        elif name == "ddim":
-            results.append(check_ddim())
-        elif name == "fusion":
-            fn = _mutated_fusion if mutate == "fusion-sign" else scale_fusion
-            results.append(check_fusion(fusion_fn=fn))
-        elif name == "patch":
-            results.append(check_patch())
-        elif name == "blend":
-            results.append(check_blend())
-        else:
-            raise ValueError(f"unknown check {name!r}")
-    return results
+    """Run the named checks; mutate swaps a known-bad variant into the check
+    it breaks, to demonstrate the oracle catches it."""
+    checks = dict(CHECKS)
+    if mutate is not None:
+        broken, mutated = MUTATIONS[mutate]
+        checks[broken] = mutated
+    return [checks[name]() for name in names]

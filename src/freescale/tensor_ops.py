@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# float64 working set per tile of rows: conv2d's padded input, accumulator
-# and product buffer, or channel norm's squares; about 1 MiB keeps each tap
-# GEMM large enough to run at full speed.
-CONV_BLOCK_BYTES = 1 << 20
+# The one tile budget: conv2d (output rows), channel norm (map rows) and
+# self_attention (query rows) run in row tiles whose float64 working set
+# stays within TILE_BYTES; about 1 MiB keeps each GEMM at full speed.
+TILE_BYTES = 1 << 20
 
 
 def as_f32(x) -> np.ndarray:
@@ -25,8 +25,8 @@ def as_f32(x) -> np.ndarray:
 
 def tile_rows(height: int, row_bytes: int) -> int:
     """Rows per tile of a map whose rows each need row_bytes of working
-    set, so that a tile stays within CONV_BLOCK_BYTES; at least one row."""
-    return max(1, min(height, CONV_BLOCK_BYTES // max(row_bytes, 1)))
+    set, so that a tile stays within TILE_BYTES; at least one row."""
+    return max(1, min(height, TILE_BYTES // max(row_bytes, 1)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freescale import tensor_ops
 from freescale.attention import (
     AttentionWeights,
     FusionConfig,
@@ -93,6 +94,29 @@ class TestSelfAttention:
         x = rng.standard_normal((1, 32, 32, 32)).astype(np.float32)
         tokens = 32 * 32
         assert traced_peak(lambda: self_attention(x, w)) <= 0.5 * tokens**2 * 8
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_query_row_tiles(self, monkeypatch, n, rows):
+        # the 35 tokens of a 5x7 map in query tiles of 1-3 rows, the last
+        # tile short; one query row's float64 scores are n * 35 * 8 bytes
+        rng = np.random.default_rng(41)
+        w = scaled_weights(rng, 6, 1.0)
+        x = rng.standard_normal((n, 6, 5, 7)).astype(np.float32)
+        whole = self_attention(x, w)  # one tile
+        row_bytes = n * 35 * 8
+        monkeypatch.setattr(tensor_ops, "TILE_BYTES", rows * row_bytes + row_bytes - 1)
+        assert tensor_ops.tile_rows(35, row_bytes) == rows
+        assert np.array_equal(self_attention(x, w), whole)
+
+    def test_peak_memory_batch_of_two(self):
+        # both guidance rows of the 1024-token level-8 mid map: the tile
+        # budget keeps the scores of a batch of two at one tile's bytes
+        # (128 query rows per tile, whatever the batch, peaked at 6.0 MiB)
+        rng = np.random.default_rng(43)
+        w = scaled_weights(rng, 32, 0.3)
+        x = rng.standard_normal((2, 32, 32, 32)).astype(np.float32)
+        assert traced_peak(lambda: self_attention(x, w)) <= 5 * 2**20
 
     def test_peak_memory_linear_in_tokens(self):
         # a 64x64 mid map, 4096 tokens: the whole [T, T] matrix needs about
@@ -268,3 +292,8 @@ class TestFusionConfig:
         fc = FusionConfig(window=8, blur=BlurSpec())
         grid = fc.grid_for(8, 8)
         assert grid.count == 1
+
+    def test_window_larger_than_map_rejected(self):
+        fc = FusionConfig(window=8, blur=BlurSpec())
+        with pytest.raises(ValueError, match="window must fit"):
+            fc.grid_for(4, 8)

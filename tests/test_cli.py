@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freescale import fileio
+from freescale import cli, fileio
 from freescale.cli import main
-from freescale.pipeline import CascadeConfig
+from freescale.pipeline import CascadeConfig, NumericError
 
 
 def write_config(tmp_path, **overrides):
@@ -105,8 +105,13 @@ class TestGenerate:
         assert "seed must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["directory", "under_file"])
-    def test_unwritable_out_exit_2(self, tmp_path, capsys, where):
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, where):
         cfg = write_config(tmp_path)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the cascade ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
         if where == "directory":
             out = tmp_path  # an existing directory
         else:
@@ -114,6 +119,26 @@ class TestGenerate:
             out = tmp_path / "file" / "x.ppm"  # its parent is a regular file
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
+    @pytest.mark.parametrize("existing", [None, b"an older image"])
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, existing):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "new_dir" / "x.ppm"
+        if existing is not None:
+            out.parent.mkdir()
+            out.write_bytes(existing)
+
+        def failing_run(*args, **kwargs):
+            assert out.exists()  # opened before the cascade runs
+            raise NumericError("non-finite values in decoded image")
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 3
+        if existing is None:
+            assert not out.exists()  # no empty image left behind
+        else:
+            assert out.read_bytes() == existing
 
 
 def test_readme_example_loads():

@@ -161,7 +161,7 @@ class TestElementwise:
         h = (rng.standard_normal(mags.shape) * mags).astype(np.float32)
         if rows is not None:
             row_bytes = 2 * 16 * 6 * 8
-            monkeypatch.setattr(tensor_ops, "CONV_BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
+            monkeypatch.setattr(tensor_ops, "TILE_BYTES", rows * row_bytes + row_bytes - 1)
         out = _channel_norm(h)
         assert out.dtype == np.float32
         assert np.array_equal(out, self.old_channel_norm(h))

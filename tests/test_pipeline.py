@@ -277,3 +277,32 @@ class TestDirectGenerate:
         b = direct_generate(tiny_config, 2)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (1, 12, 16, 16)
+
+
+def high_frequency_share(z):
+    """Share of a [1,C,H,W] latent's spectral energy with max(|fy|, |fx|)
+    above 0.25 cycles/sample, each channel's mean removed, summed over
+    channels."""
+    z = z[0].astype(np.float64)
+    z -= z.mean(axis=(1, 2), keepdims=True)
+    power = np.abs(np.fft.fft2(z)) ** 2
+    fy = np.abs(np.fft.fftfreq(z.shape[1]))
+    fx = np.abs(np.fft.fftfreq(z.shape[2]))
+    high = np.maximum(fy[:, None], fx[None, :]) > 0.25
+    return power[:, high].sum() / power.sum()
+
+
+class TestHighFrequencyEnergy:
+    # The paper's claim: generating straight at a high resolution piles up
+    # high-frequency content, which the cascade and its mechanisms hold
+    # back. Pinned as an order, not as values (seed 1 reads 0.545 > 0.095 >
+    # 0.079). At levels (1, 2) the order does not hold for every seed.
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_direct_above_plain_cascade_above_full_cascade(self, tiny_config, seed):
+        cfg = dataclasses.replace(tiny_config, levels=(1, 2, 4), seed=seed)
+        plain = dataclasses.replace(cfg, dilation_enabled=False, fusion_enabled=False,
+                                    blend_enabled=False)
+        direct = high_frequency_share(direct_generate(cfg, 4))
+        cascade_off = high_frequency_share(run(plain)["latent"])
+        cascade = high_frequency_share(run(cfg)["latent"])
+        assert direct > cascade_off > cascade

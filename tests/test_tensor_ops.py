@@ -88,7 +88,7 @@ class TestConv2d:
         for x, k, d, whole in cases:
             wp = x.shape[3] + d * (k.weights.shape[3] - 1)
             row_bytes = (k.in_channels + 2 * k.out_channels) * wp * 8 * x.shape[0]
-            monkeypatch.setattr(tensor_ops, "CONV_BLOCK_BYTES", rows * row_bytes + row_bytes - 1)
+            monkeypatch.setattr(tensor_ops, "TILE_BYTES", rows * row_bytes + row_bytes - 1)
             out = conv2d(x, k, d)
             assert np.array_equal(out, whole)
             np.testing.assert_allclose(out, reference_conv2d(x, k, d), atol=1e-5)
