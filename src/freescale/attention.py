@@ -98,20 +98,24 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     v = linear(tokens, weights.w_v).astype(np.float64)
     t = hh * ww
     scale = np.sqrt(float(weights.dim))
-    # Query rows go in tiles, so the scores are [N, rows, T] (N * T * 8 bytes
-    # a row), never the whole [N, T, T]. Softmax rows are independent and
-    # neither GEMM's inner dimension changes, so every rounding point is
-    # where it would be in one pass. Each buffer is dropped once its rounded
-    # copy exists.
-    rows = tile_rows(t, n * t * 8)
+    # Tiles hold whole maps, then query rows of a map too big for one tile, so
+    # the scores are [maps, rows, T], never [N, T, T], and each small patch map
+    # is one scores GEMM. Softmax rows are independent and neither GEMM's inner
+    # dimension changes, so every rounding point is where it would be in one
+    # pass. Each buffer is dropped once its rounded copy exists.
+    maps = tile_rows(n, t * t * 8)
+    rows = tile_rows(t, maps * t * 8)
     out = np.empty((n, t, c), dtype=np.float64)
-    for r0 in range(0, t, rows):
-        r1 = min(r0 + rows, t)
-        scores = q[:, r0:r1] @ k_t
-        scores /= scale
-        scores = scores.astype(np.float32)
-        scores = softmax_rows(scores.reshape(n * (r1 - r0), t))
-        np.matmul(scores.reshape(n, r1 - r0, t).astype(np.float64), v, out=out[:, r0:r1])
+    for m0 in range(0, n, maps):
+        m1 = min(m0 + maps, n)
+        for r0 in range(0, t, rows):
+            r1 = min(r0 + rows, t)
+            scores = q[m0:m1, r0:r1] @ k_t[m0:m1]
+            scores /= scale
+            scores = scores.astype(np.float32)
+            scores = softmax_rows(scores.reshape((m1 - m0) * (r1 - r0), t))
+            np.matmul(scores.reshape(m1 - m0, r1 - r0, t).astype(np.float64), v[m0:m1],
+                      out=out[m0:m1, r0:r1])
     del q, k_t, v  # free them before the output projection allocates
     out = linear(out.astype(np.float32), weights.w_o)
     return out.transpose(0, 2, 1).reshape(n, c, hh, ww)

@@ -98,22 +98,17 @@ def cmd_bench(args) -> int:
     final_level = config.levels[-1]
     direct_times, cascade_times = [], []
     for _ in range(args.repeat):
-        if args.arm in ("both", "direct"):
-            t0 = time.perf_counter()
-            direct_generate(config, final_level)
-            direct_times.append(time.perf_counter() - t0)
-        if args.arm in ("both", "cascade"):
-            t0 = time.perf_counter()
-            run(config)
-            cascade_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        direct_generate(config, final_level)
+        direct_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        run(config)
+        cascade_times.append(time.perf_counter() - t0)
 
-    if direct_times:
-        print(f"direct_median_s={statistics.median(direct_times):.4f}")
-    if cascade_times:
-        print(f"cascade_median_s={statistics.median(cascade_times):.4f}")
-    if direct_times and cascade_times:
-        ratio = statistics.median(cascade_times) / statistics.median(direct_times)
-        print(f"ratio={ratio:.4f}")
+    direct, cascade = statistics.median(direct_times), statistics.median(cascade_times)
+    print(f"direct_median_s={direct:.4f}")
+    print(f"cascade_median_s={cascade:.4f}")
+    print(f"ratio={cascade / direct:.4f}")
     print(f"repeat={args.repeat}")
     return EXIT_OK
 
@@ -146,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time cascade vs direct inference")
     bench.add_argument("--config", required=True)
     bench.add_argument("--repeat", type=_positive_int, default=3)
-    bench.add_argument("--arm", choices=("both", "direct", "cascade"), default="both")
     bench.set_defaults(func=cmd_bench)
 
     orc = sub.add_parser("oracle", help="run brute-force verification suites")

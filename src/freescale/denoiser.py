@@ -188,7 +188,7 @@ def _avg_pool2(h: np.ndarray) -> np.ndarray:
 def _conv_block(h, e, weights: WeightSet, name: str, dilation: int) -> np.ndarray:
     """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU."""
     h = _silu(conv2d(_channel_norm(h), weights.kernel(f"{name}.conv_a"), dilation))
-    h += linear(e, weights[f"{name}.emb.w"], weights[f"{name}.emb.b"])[:, :, None, None]
+    h = h + linear(e, weights[f"{name}.emb.w"], weights[f"{name}.emb.b"])[:, :, None, None]
     return _silu(conv2d(h, weights.kernel(f"{name}.conv_b"), dilation))
 
 
@@ -200,8 +200,9 @@ def predict_noise(
     dilation: dict | None = None,
     fusion: FusionConfig | None = None,
 ) -> np.ndarray:
-    """Forward pass of the toy UNet over an [N,C,H,W] batch, one cond row
-    per map ([N, cond_dim]); every map's output equals its N = 1 run.
+    """Forward pass of the toy UNet over one latent [1,C,H,W] and N cond rows
+    [N, cond_dim]: map n of the [N,C,H,W] output equals its N = 1 run. The
+    layers before the first embedding add run once, on the one latent row.
 
     dilation maps each block group ("down", "mid", "up") to the dilation of
     its convolutions (DilationPolicy.group_dilation gives the restrained
@@ -211,8 +212,8 @@ def predict_noise(
     cfg = weights.config
     z_t = as_f32(z_t)
     cond = as_f32(cond)
-    if z_t.ndim != 4:
-        raise ValueError(f"expected NCHW latent, got shape {z_t.shape}")
+    if z_t.ndim != 4 or len(z_t) != 1:
+        raise ValueError(f"expected one NCHW latent [1,C,H,W], got shape {z_t.shape}")
     if z_t.shape[1] != cfg.latent_channels:
         raise ValueError(
             f"latent has {z_t.shape[1]} channels, config expects {cfg.latent_channels}"
@@ -220,10 +221,8 @@ def predict_noise(
     div = 2**cfg.down_blocks
     if z_t.shape[2] % div or z_t.shape[3] % div:
         raise ValueError(f"spatial dims must be divisible by {div}, got {z_t.shape[2:]}")
-    if cond.shape != (z_t.shape[0], cfg.cond_dim):
-        raise ValueError(
-            f"cond must have shape {(z_t.shape[0], cfg.cond_dim)}, got {cond.shape}"
-        )
+    if cond.ndim != 2 or len(cond) < 1 or cond.shape[1] != cfg.cond_dim:
+        raise ValueError(f"cond must have shape [N, {cfg.cond_dim}], N >= 1, got {cond.shape}")
 
     dilation = dilation or {}
 

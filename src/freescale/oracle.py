@@ -191,9 +191,9 @@ MUTATIONS = {
 
 def run_checks(names, mutate: str | None = None) -> list[CheckResult]:
     """Run the named checks; mutate swaps a known-bad variant into the check
-    it breaks, to demonstrate the oracle catches it."""
-    checks = dict(CHECKS)
+    it breaks, named or not, to demonstrate the oracle catches it."""
+    checks = {name: CHECKS[name] for name in names}
     if mutate is not None:
         broken, mutated = MUTATIONS[mutate]
         checks[broken] = mutated
-    return [checks[name]() for name in names]
+    return [check() for check in checks.values()]

@@ -221,8 +221,8 @@ def _denoise_loop(
     anchor_noise: np.ndarray | None = None,
     ctrl: DetailControl | None = None,
 ) -> np.ndarray:
-    # both guidance branches run as one batch of two: row 0 unconditional,
-    # row 1 conditional
+    # both guidance branches run as one batch of two cond rows over the one
+    # latent: row 0 unconditional, row 1 conditional
     conds = np.stack([np.zeros(config.cond_dim, dtype=np.float32),
                       prompt_embedding(config.prompt, config.cond_dim)])
     total = len(timesteps)
@@ -230,7 +230,7 @@ def _denoise_loop(
         t = int(t)
         t_prev = int(timesteps[i + 1]) if i + 1 < total else 0
         dilation = policy.group_dilation(i, total) if policy is not None else None
-        eps = predict_noise(np.concatenate([z, z]), t, conds, weights, dilation, fusion)
+        eps = predict_noise(z, t, conds, weights, dilation, fusion)
         eps = cfg_combine(eps[:1], eps[1:], config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
         if ctrl is not None and t_prev > 0:

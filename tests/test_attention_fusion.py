@@ -95,24 +95,28 @@ class TestSelfAttention:
         tokens = 32 * 32
         assert traced_peak(lambda: self_attention(x, w)) <= 0.5 * tokens**2 * 8
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    def test_query_row_tiles(self, monkeypatch, n, rows):
-        # the 35 tokens of a 5x7 map in query tiles of 1-3 rows, the last
-        # tile short; one query row's float64 scores are n * 35 * 8 bytes
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_query_row_tiles(self, monkeypatch, n, size):
+        # a stack of n 5x7 maps, 35 tokens each, in tiles of 1-3 whole maps
+        # and then in tiles of 1-3 query rows of one map, the last tile short;
+        # one map's float64 scores are 35 * 35 * 8 bytes, one row's 35 * 8
         rng = np.random.default_rng(41)
         w = scaled_weights(rng, 6, 1.0)
         x = rng.standard_normal((n, 6, 5, 7)).astype(np.float32)
         whole = self_attention(x, w)  # one tile
-        row_bytes = n * 35 * 8
-        monkeypatch.setattr(tensor_ops, "TILE_BYTES", rows * row_bytes + row_bytes - 1)
-        assert tensor_ops.tile_rows(35, row_bytes) == rows
-        assert np.array_equal(self_attention(x, w), whole)
+        map_bytes, row_bytes = 35 * 35 * 8, 35 * 8
+        for unit, tiles in ((map_bytes, (min(size, n), 35)), (row_bytes, (1, size))):
+            monkeypatch.setattr(tensor_ops, "TILE_BYTES", (size + 1) * unit - 1)
+            maps = tensor_ops.tile_rows(n, map_bytes)
+            assert (maps, tensor_ops.tile_rows(35, maps * row_bytes)) == tiles
+            assert np.array_equal(self_attention(x, w), whole)
 
     def test_peak_memory_batch_of_two(self):
         # both guidance rows of the 1024-token level-8 mid map: the tile
         # budget keeps the scores of a batch of two at one tile's bytes
-        # (128 query rows per tile, whatever the batch, peaked at 6.0 MiB)
+        # (tiles of 128 query rows of one map; a fixed 128 rows over both
+        # maps peaked at 6.0 MiB)
         rng = np.random.default_rng(43)
         w = scaled_weights(rng, 32, 0.3)
         x = rng.standard_normal((2, 32, 32, 32)).astype(np.float32)

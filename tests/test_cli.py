@@ -158,13 +158,6 @@ class TestBench:
         assert "cascade_median_s=" in out
         assert "ratio=" in out
 
-    def test_direct_only_arm(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, steps=5)
-        assert main(["bench", "--config", str(cfg), "--repeat", "1", "--arm", "direct"]) == 0
-        out = capsys.readouterr().out
-        assert "direct_median_s=" in out
-        assert "cascade_median_s=" not in out
-
 
 class TestConfigErrors:
     @pytest.mark.parametrize(
@@ -223,12 +216,15 @@ class TestOracle:
         assert "check_blend=pass" in out
         assert "check_conv" not in out
 
-    def test_fusion_sign_mutation_detected(self, capsys):
-        assert main(["oracle", "--check", "all", "--mutate", "fusion-sign"]) == 1
+    # a mutation runs the check it breaks, whichever check is named
+    @pytest.mark.parametrize("check", ["all", "conv"])
+    def test_fusion_sign_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "fusion-sign"]) == 1
         assert "check_fusion=fail" in capsys.readouterr().out
 
-    def test_dilate_up_mutation_detected(self, capsys):
-        assert main(["oracle", "--check", "all", "--mutate", "dilate-up"]) == 1
+    @pytest.mark.parametrize("check", ["all", "fusion"])
+    def test_dilate_up_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "dilate-up"]) == 1
         assert "check_conv=fail" in capsys.readouterr().out
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from freescale import tensor_ops
+from freescale import denoiser, tensor_ops
 from freescale.attention import FusionConfig
 from freescale.denoiser import (
     DilationPolicy,
@@ -121,9 +121,11 @@ class TestPredictNoise:
         z, cond = small_inputs()
         with pytest.raises(ValueError, match="divisible"):
             predict_noise(z[:, :, :10, :10], 10, cond, ws)
-        for bad in (cond[:, :4], cond[0], np.concatenate([cond, cond])):
+        for bad in (cond[:, :4], cond[0]):
             with pytest.raises(ValueError, match="cond"):
                 predict_noise(z, 10, bad, ws)
+        with pytest.raises(ValueError, match="one NCHW latent"):
+            predict_noise(np.concatenate([z, z]), 10, np.concatenate([cond, cond]), ws)
 
 
 class TestBatchRows:
@@ -137,11 +139,27 @@ class TestBatchRows:
         conds = np.concatenate([np.zeros_like(cond), cond])
         dilation = DilationPolicy(factor, stop_fraction=0.0).group_dilation(0, 10)
         fusion = None if blur is None else FusionConfig(window=2, blur=blur)  # 9 patches
-        batch = predict_noise(np.concatenate([z, z]), 500, conds, ws, dilation, fusion)
+        batch = predict_noise(z, 500, conds, ws, dilation, fusion)
         for row in range(2):
             single = predict_noise(z, 500, conds[row : row + 1], ws, dilation, fusion)
             assert np.array_equal(batch[row : row + 1], single)
         assert not np.array_equal(batch[0], batch[1])
+
+    def test_prefix_runs_once(self, monkeypatch):
+        # the stem and down0.conv_a come before the first embedding add, so
+        # they see the one latent row; the other ten convs (conv_a and conv_b
+        # of the four later blocks, down0.conv_b, head) see both cond rows
+        seen = []
+        conv = denoiser.conv2d
+
+        def recording_conv(x, *args):
+            seen.append(len(x))
+            return conv(x, *args)
+
+        monkeypatch.setattr(denoiser, "conv2d", recording_conv)
+        z, cond = small_inputs()
+        predict_noise(z, 500, np.concatenate([np.zeros_like(cond), cond]), init_weights(SMALL, 1))
+        assert seen == [1, 1] + [2] * 10
 
 
 class TestElementwise:
