@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 oracle failure, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -54,36 +55,47 @@ def _load_mask(path: str) -> np.ndarray:
         raise ConfigError(f"cannot read mask: {e}") from e
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError while writing path into a config error naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+
+
 def cmd_generate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     mask = _load_mask(args.mask) if args.mask else None
     out = Path(args.out)
-    created = not out.exists()
+    manifest_path = Path(f"{out}.manifest.json")
+    created = []  # removed again if the call fails: leave no partial output behind
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.open("ab").close()  # an unwritable --out fails before any level runs
-    except OSError as e:
-        raise ConfigError(f"cannot write {out}: {e}") from e
-    try:
+        # an unwritable output fails before any level runs
+        for path in (out, manifest_path):
+            with _writing(path):
+                existed = path.exists()
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.open("ab").close()
+            if not existed:
+                created.append(path)
         result = run(config, mask=mask)
-    except BaseException:
-        if created:
-            out.unlink(missing_ok=True)  # leave no empty image behind
-        raise
-
-    manifest = dict(result["manifest"])
-    try:
-        payload = fileio.write_ppm(out, result["image"])
+        manifest = dict(result["manifest"])
+        with _writing(out):
+            payload = fileio.write_ppm(out, result["image"])
         checksum = hashlib.sha256(payload).hexdigest()
         manifest["output_sha256"] = checksum
-        fileio.write_manifest(f"{out}.manifest.json", manifest)
-    except OSError as e:
-        raise ConfigError(f"cannot write {out}: {e}") from e
+        with _writing(manifest_path):
+            fileio.write_manifest(manifest_path, manifest)
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
 
     print(f"out={out}")
-    print(f"manifest={out}.manifest.json")
+    print(f"manifest={manifest_path}")
     print(f"checksum={checksum}")
     for record in manifest["levels"]:
         print(

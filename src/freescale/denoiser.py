@@ -21,11 +21,11 @@ from .tensor_ops import Kernel2D, as_f32, conv2d, linear, tile_rows, upsample
 
 @dataclass(frozen=True)
 class UNetConfig:
-    latent_channels: int = 4
-    base_width: int = 32
+    latent_channels: int
+    base_width: int
+    time_embedding_dim: int
+    cond_dim: int
     down_blocks: int = 2
-    time_embedding_dim: int = 64
-    cond_dim: int = 32
 
     def __post_init__(self):
         sizes = (self.latent_channels, self.base_width, self.down_blocks,

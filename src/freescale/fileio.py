@@ -54,16 +54,6 @@ def read_pgm(path) -> np.ndarray:
     return (raster.reshape(h, w).astype(np.float32) / 255.0).astype(np.float32)
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
-    gray = np.asarray(gray, dtype=np.float32)
-    if gray.ndim != 2:
-        raise ValueError("expected [H,W] grayscale")
-    h, w = gray.shape
-    raster = np.round(np.clip(gray, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
-
-
 def write_manifest(path, manifest: dict) -> None:
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

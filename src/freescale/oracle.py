@@ -80,8 +80,7 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
         max_dev = max(max_dev, dev)
     # policy restraint: a policy run must equal an explicit per-group
     # reference with up blocks at dilation 1
-    cfg = UNetConfig(latent_channels=3, base_width=8, down_blocks=2,
-                     time_embedding_dim=16, cond_dim=8)
+    cfg = UNetConfig(latent_channels=3, base_width=8, time_embedding_dim=16, cond_dim=8)
     weights = init_weights(cfg, 11)
     z = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
     cond = rng.standard_normal((1, 8)).astype(np.float32)

@@ -75,16 +75,12 @@ class CascadeConfig:
     latent_upsample_mode: str = "nearest"
     alpha_default: float = 2.0
     blur_mode: str = "gaussian"
-    blur_sigma: float = 1.0
-    blur_cutoff: float = 0.25
     base_latent_size: int = 16
     vae_patch: int = 2
     base_width: int = 32
-    down_blocks: int = 2
     time_embedding_dim: int = 64
     cond_dim: int = 32
     dilation_enabled: bool = True
-    dilation_stop_fraction: float = 0.3
     fusion_enabled: bool = True
     blend_enabled: bool = True
     alpha_lo: float = 0.5
@@ -120,13 +116,12 @@ class CascadeConfig:
         if self.vae_patch < 1:
             raise ConfigError("vae_patch must be >= 1")
         try:
-            self.unet_config()  # down_blocks >= 1
-            DilationPolicy(1, self.dilation_stop_fraction)
+            unet = self.unet_config()
             last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
             fusion = self.fusion()
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        div = 2**self.down_blocks
+        div = 2**unet.down_blocks
         if self.base_latent_size % div:
             raise ConfigError(f"base_latent_size must be divisible by {div}")
         # fusion grids need a window of >= 2
@@ -145,19 +140,16 @@ class CascadeConfig:
         if len(levels) > 1 and last > self.injection_step:
             raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
 
-    def blur(self) -> BlurSpec:
-        return BlurSpec(mode=self.blur_mode, sigma=self.blur_sigma, cutoff=self.blur_cutoff)
-
     def fusion(self) -> FusionConfig:
         """Scale fusion on the mid-block attention map: the window is that
         map's side at the base level, so level r's map is r windows across."""
-        return FusionConfig(window=self.base_latent_size // 2**self.down_blocks, blur=self.blur())
+        window = self.base_latent_size // 2**self.unet_config().down_blocks
+        return FusionConfig(window=window, blur=BlurSpec(mode=self.blur_mode))
 
     def unet_config(self) -> UNetConfig:
         return UNetConfig(
             latent_channels=3 * self.vae_patch**2,
             base_width=self.base_width,
-            down_blocks=self.down_blocks,
             time_embedding_dim=self.time_embedding_dim,
             cond_dim=self.cond_dim,
         )
@@ -277,11 +269,7 @@ def cascade_level(
     timesteps = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
     z = forward_noise(phi, timesteps[0], anchor_noise, sched)
 
-    policy = None
-    if config.dilation_enabled:
-        policy = DilationPolicy(
-            dilation_factor=level, stop_fraction=config.dilation_stop_fraction
-        )
+    policy = DilationPolicy(dilation_factor=level) if config.dilation_enabled else None
     fusion = config.fusion() if config.fusion_enabled else None
     ctrl = None
     if config.blend_enabled:

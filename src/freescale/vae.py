@@ -30,7 +30,7 @@ class AutoencoderSpec:
         return 3 * self.patch * self.patch
 
 
-def make_autoencoder(patch: int = 4, seed: int = 0) -> AutoencoderSpec:
+def make_autoencoder(patch: int, seed: int) -> AutoencoderSpec:
     """Seeded orthonormal basis via QR with a deterministic sign fix."""
     if patch < 1:
         raise ValueError("patch must be >= 1")

@@ -8,7 +8,7 @@ import pytest
 
 from freescale import cli, fileio
 from freescale.cli import main
-from freescale.pipeline import CascadeConfig, NumericError
+from freescale.pipeline import CascadeConfig, ConfigError, NumericError
 
 
 def write_config(tmp_path, **overrides):
@@ -27,6 +27,13 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def write_pgm(path, gray):
+    """Write an [H,W] array of [0,1] values as a binary PGM (P5, maxval 255)."""
+    h, w = gray.shape
+    raster = np.round(np.clip(gray, 0.0, 1.0) * 255.0).astype(np.uint8)
+    path.write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
 
 
 class TestGenerate:
@@ -77,7 +84,7 @@ class TestGenerate:
         mask_path = tmp_path / "mask.pgm"
         mask = np.zeros((16, 16), np.float32)
         mask[:, :8] = 1.0
-        fileio.write_pgm(mask_path, mask)
+        write_pgm(mask_path, mask)
         out1, out2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
         assert main(["generate", "--config", str(cfg), "--out", str(out1),
                      "--mask", str(mask_path)]) == 0
@@ -139,6 +146,22 @@ class TestGenerate:
             assert not out.exists()  # no empty image left behind
         else:
             assert out.read_bytes() == existing
+        assert not (tmp_path / "new_dir" / "x.ppm.manifest.json").exists()
+
+    def test_unwritable_manifest_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x.ppm"
+        manifest = tmp_path / "x.ppm.manifest.json"
+        manifest.mkdir()  # an existing directory
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the cascade ran before the manifest path was checked")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {manifest}")
+        assert not out.exists()  # the image opened before it is removed again
+        assert manifest.is_dir()
 
 
 def test_readme_example_loads():
@@ -183,10 +206,23 @@ class TestConfigErrors:
         if command == "generate":
             # a mask makes the run read alpha_lo/alpha_hi
             mask = tmp_path / "mask.pgm"
-            fileio.write_pgm(mask, np.linspace(0, 1, 256, dtype=np.float32).reshape(16, 16))
+            write_pgm(mask, np.linspace(0, 1, 256, dtype=np.float32).reshape(16, 16))
             extra = ["--out", str(tmp_path / "x.ppm"), "--mask", str(mask)]
         assert main([command, "--config", str(cfg), *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # constants of the method, held by the components that use them
+    @pytest.mark.parametrize(
+        "key", ["blur_sigma", "blur_cutoff", "dilation_stop_fraction", "down_blocks"]
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, key):
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):
+            CascadeConfig.from_dict({key: 1})
+        # a blur sigma of 1e300 would ask for a Gaussian kernel too large to allocate
+        cfg = write_config(tmp_path, **{key: 1e300})
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")]) == 2
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+        assert not (tmp_path / "x.ppm").exists()
 
     @pytest.mark.parametrize("repeat", ["0", "-3"])
     def test_non_positive_repeat_exits_2(self, tmp_path, capsys, repeat):
@@ -232,7 +268,7 @@ class TestFileio:
     def test_pgm_round_trip(self, tmp_path):
         path = tmp_path / "m.pgm"
         gray = np.linspace(0, 1, 12, dtype=np.float32).reshape(3, 4)
-        fileio.write_pgm(path, gray)
+        write_pgm(path, gray)
         back = fileio.read_pgm(path)
         assert back.shape == (3, 4)
         np.testing.assert_allclose(back, gray, atol=1 / 255.0 + 1e-6)

@@ -57,6 +57,13 @@ class TestInitWeights:
         assert checked >= 5
 
 
+class TestDilationPolicy:
+    @pytest.mark.parametrize("stop_fraction", [-0.1, 1.5])
+    def test_stop_fraction_range(self, stop_fraction):
+        with pytest.raises(ValueError, match=r"stop_fraction must lie in \[0, 1\]"):
+            DilationPolicy(2, stop_fraction=stop_fraction)
+
+
 class TestPredictNoise:
     def test_policy_d1_matches_no_policy(self):
         ws = init_weights(SMALL, 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestConfigValidation:
         "key, value",
         [("steps", "10"), ("seed", 1.5), ("dilation_enabled", "false"), ("levels", 4),
          ("guidance_scale", True), ("prompt", 3), ("guidance_scale", float("nan")),
-         ("blur_sigma", float("inf"))],
+         ("alpha_hi", float("inf"))],
     )
     def test_field_types(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be of type"):
@@ -137,8 +138,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "key, value",
         [("seed", -1), ("vae_patch", 0), ("time_embedding_dim", 15), ("time_embedding_dim", 0),
-         ("cond_dim", -2), ("steps", 0), ("steps", 1001), ("dilation_stop_fraction", 1.5),
-         ("prompt", "\ud800")],
+         ("cond_dim", -2), ("steps", 0), ("steps", 1001), ("prompt", "\ud800")],
     )
     def test_degenerate_values(self, key, value):
         with pytest.raises(ConfigError):
@@ -229,6 +229,29 @@ class TestCascadeLevel:
                 )
                 z = ddim_step(z, eps, t, t_prev, sched)
             np.testing.assert_allclose(got, z, atol=1e-5)
+
+
+class TestMemory:
+    def test_peak_follows_the_latent(self, tiny_config):
+        # each level's peak is bounded by its latent, not by its mid map's
+        # tokens^2: at level 16 the tiled forward peaks near 17 MiB, an
+        # untiled one near 42 MiB, against a bound of 25 MiB
+        cfg = dataclasses.replace(tiny_config, levels=(1, 2, 4, 8, 16), steps=4)
+        sched, weights, vae_spec = setup_run(cfg)
+        tracemalloc.start()
+        try:
+            z0 = generate_base(cfg, weights, sched)
+            peaks = {1: tracemalloc.get_traced_memory()[1]}
+            latents = {1: z0.nbytes}
+            for level in cfg.levels[1:]:
+                tracemalloc.reset_peak()
+                z0 = cascade_level(z0, level, cfg, weights, vae_spec, sched)
+                peaks[level] = tracemalloc.get_traced_memory()[1]
+                latents[level] = z0.nbytes
+        finally:
+            tracemalloc.stop()
+        for level, peak in peaks.items():
+            assert peak <= 32 * latents[level] + 2**20, (level, peak)
 
 
 class TestRun:
