@@ -81,11 +81,10 @@ class PatchGrid:
         return [(t, l) for t in tops for l in lefts]
 
 
-def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
-    """Single-head self-attention over the H*W spatial tokens of each map in
-    an [N,C,H,W] batch (the N maps attend independently), followed by the
-    output projection. Position-free by construction.
-    """
+def _project(h_in: np.ndarray, weights: AttentionWeights):
+    """Validate an [N,C,H,W] batch and return the q, k and v of its H*W
+    tokens, [N, tokens, C] each: `linear` rounds them to float32 and they
+    are held as float64."""
     h_in = as_f32(h_in)
     if h_in.ndim != 4:
         raise ValueError(f"expected [N,C,H,W], got shape {h_in.shape}")
@@ -93,13 +92,18 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     if c != weights.dim:
         raise ValueError(f"channel count {c} != attention dim {weights.dim}")
     tokens = h_in.reshape(n, c, hh * ww).transpose(0, 2, 1)  # [N, tokens, C]
-    q = linear(tokens, weights.w_q).astype(np.float64)
-    k_t = linear(tokens, weights.w_k).astype(np.float64).transpose(0, 2, 1)
-    v = linear(tokens, weights.w_v).astype(np.float64)
-    t = hh * ww
-    scale = np.sqrt(float(weights.dim))
+    return tuple(linear(tokens, m).astype(np.float64)
+                 for m in (weights.w_q, weights.w_k, weights.w_v))
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(C)) v for each of the M token sets in [M, T, C]
+    float64 projections; returns the float64 [M, T, C] result."""
+    n, t, c = q.shape
+    k_t = k.transpose(0, 2, 1)
+    scale = np.sqrt(float(c))
     # Tiles hold whole maps, then query rows of a map too big for one tile, so
-    # the scores are [maps, rows, T], never [N, T, T], and each small patch map
+    # the scores are [maps, rows, T], never [M, T, T], and each small patch map
     # is one scores GEMM. Softmax rows are independent and neither GEMM's inner
     # dimension changes, so every rounding point is where it would be in one
     # pass. Each buffer is dropped once its rounded copy exists.
@@ -116,9 +120,25 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
             scores = softmax_rows(scores.reshape((m1 - m0) * (r1 - r0), t))
             np.matmul(scores.reshape(m1 - m0, r1 - r0, t).astype(np.float64), v[m0:m1],
                       out=out[m0:m1, r0:r1])
-    del q, k_t, v  # free them before the output projection allocates
+    return out
+
+
+def _output(out: np.ndarray, weights: AttentionWeights, shape) -> np.ndarray:
+    """Output projection of float64 [N, tokens, C] attention rows, rounded to
+    float32 first, laid out as the [N,C,H,W] maps of `shape`."""
     out = linear(out.astype(np.float32), weights.w_o)
-    return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
+    return out.transpose(0, 2, 1).reshape(shape)
+
+
+def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
+    """Single-head self-attention over the H*W spatial tokens of each map in
+    an [N,C,H,W] batch (the N maps attend independently), followed by the
+    output projection. Position-free by construction.
+    """
+    q, k, v = _project(h_in, weights)
+    out = _attend(q, k, v)
+    del q, k, v  # free them before the output projection allocates
+    return _output(out, weights, np.shape(h_in))
 
 
 def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> np.ndarray:
@@ -180,14 +200,47 @@ def fused_attention(
     blur: BlurSpec,
 ) -> np.ndarray:
     """Scale-fused self-attention: global attention over the whole map,
-    patch-local attention (one batched call over the grid's crops)
-    reassembled by overlap averaging, fused per band.
+    patch-local attention over the grid's crops reassembled by overlap
+    averaging, fused per band.
+
+    Equal to scale_fusion(self_attention(h), reconstruct_average(
+    self_attention(shifted_crop_sampling(h, grid)), grid), blur), but each
+    token is projected once: a crop's q, k and v are its rows of the map's.
     """
-    h_global = self_attention(h_in, weights)
-    h_local = reconstruct_average(
-        self_attention(shifted_crop_sampling(h_in, grid), weights), grid
-    )
-    return scale_fusion(h_global, h_local, blur)
+    h_in = as_f32(h_in)
+    if h_in.ndim != 4 or h_in.shape[2:] != (grid.height, grid.width):
+        raise ValueError(
+            f"feature shape {h_in.shape} does not match grid {grid.height}x{grid.width}"
+        )
+    n, c, hh, ww = h_in.shape
+    q, k, v = _project(h_in, weights)
+    h_global = _output(_attend(q, k, v), weights, h_in.shape)
+
+    # each crop's token indices into the map, row-major as the crop flattens
+    wh, wl = grid.window_h, grid.window_w
+    positions = grid.positions
+    corners = np.array(positions)
+    crops = ((corners[:, :1, None] + np.arange(wh)[:, None]) * ww
+             + corners[:, 1:, None] + np.arange(wl)).reshape(grid.count, wh * wl)
+    # The patch branch runs a band of grid positions at a time, so only the
+    # band's gathered q, k, v rows and scores exist at once. Bands add into
+    # the float64 overlap sum in grid order: every pixel sums its crops in the
+    # order reconstruct_average takes.
+    band = tile_rows(grid.count, n * wh * wl * (3 * c + wh * wl) * 8)
+    acc = np.zeros(h_in.shape, dtype=np.float64)
+    cover = np.zeros((hh, ww), dtype=np.float64)
+    for p0 in range(0, grid.count, band):
+        idx = crops[p0 : p0 + band]
+        crop_qkv = [x[:, idx].reshape(n * len(idx), wh * wl, c) for x in (q, k, v)]
+        local = _attend(*crop_qkv)
+        del crop_qkv
+        local = _output(local, weights, (n, len(idx), c, wh, wl))
+        for p, (top, left) in enumerate(positions[p0 : p0 + band]):
+            acc[:, :, top : top + wh, left : left + wl] += local[:, p]
+            cover[top : top + wh, left : left + wl] += 1.0
+    del q, k, v
+    acc /= cover
+    return scale_fusion(h_global, acc.astype(np.float32), blur)
 
 
 @dataclass(frozen=True)

@@ -143,22 +143,22 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 
 def _channel_norm(h: np.ndarray) -> np.ndarray:
-    """Per-position RMS normalization over channels; keeps activations O(1)
-    so the sampler stays stable at any resolution.
+    """Per-position RMS normalization over channels, in place on the float32
+    map h, which is returned; keeps activations O(1) so the sampler stays
+    stable at any resolution.
 
     Runs in blocks of rows, so the float64 squares are one block at a time
     and not the whole map; each position's channel sum is unchanged.
     """
     n, c, hh, ww = h.shape
     rows = tile_rows(hh, n * c * ww * 8)
-    out = np.empty(h.shape, dtype=np.float32)
     for r0 in range(0, hh, rows):
-        src = h[:, :, r0 : r0 + rows]
-        sq = src.astype(np.float64)
+        blk = h[:, :, r0 : r0 + rows]
+        sq = blk.astype(np.float64)
         sq *= sq
         rms = np.sqrt(np.mean(sq, axis=1, keepdims=True) + 1e-5)
-        np.divide(src, rms, out=out[:, :, r0 : r0 + rows], casting="same_kind")
-    return out
+        np.divide(blk, rms, out=blk, casting="same_kind")
+    return h
 
 
 def _time_embedding(t: int, dim: int) -> np.ndarray:
@@ -186,7 +186,8 @@ def _avg_pool2(h: np.ndarray) -> np.ndarray:
 
 
 def _conv_block(h, e, weights: WeightSet, name: str, dilation: int) -> np.ndarray:
-    """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU."""
+    """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU.
+    The norm overwrites h, so callers pass a map they do not keep."""
     h = _silu(conv2d(_channel_norm(h), weights.kernel(f"{name}.conv_a"), dilation))
     h = h + linear(e, weights[f"{name}.emb.w"], weights[f"{name}.emb.b"])[:, :, None, None]
     return _silu(conv2d(h, weights.kernel(f"{name}.conv_b"), dilation))
@@ -264,7 +265,9 @@ def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, scale: float) -> n
     eps_cond = as_f32(eps_cond)
     if eps_uncond.shape != eps_cond.shape:
         raise ValueError("guidance branches must share one shape")
-    out = eps_uncond.astype(np.float64) + scale * (
-        eps_cond.astype(np.float64) - eps_uncond.astype(np.float64)
-    )
+    uncond = eps_uncond.astype(np.float64)
+    out = eps_cond.astype(np.float64)
+    out -= uncond
+    out *= scale
+    out += uncond
     return out.astype(np.float32)

@@ -81,11 +81,15 @@ def ddim_step(
         return z_t.copy()
     ab_t = sched.alpha_bar(t)
     ab_prev = sched.alpha_bar(t_prev)
-    z64 = z_t.astype(np.float64)
+    z = z_t.astype(np.float64)
     e64 = eps.astype(np.float64)
-    z0_hat = (z64 - np.sqrt(1.0 - ab_t) * e64) / np.sqrt(ab_t)
-    out = np.sqrt(ab_prev) * z0_hat + np.sqrt(1.0 - ab_prev) * e64
-    return out.astype(np.float32)
+    scratch = e64 * np.sqrt(1.0 - ab_t)
+    z -= scratch
+    z /= np.sqrt(ab_t)  # z0_hat
+    z *= np.sqrt(ab_prev)
+    np.multiply(e64, np.sqrt(1.0 - ab_prev), out=scratch)
+    z += scratch
+    return z.astype(np.float32)
 
 
 # smallest detail exponent accepted (by DetailControl and config validation)

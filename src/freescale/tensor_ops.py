@@ -99,13 +99,16 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     # plus ph halo rows either side, zero-padded to width wp, plus one spare
     # zero row. In rows of width wp, tap (i, j) is one GEMM on the rb*wp
     # contiguous columns at offset i*d*wp + j*d; the spare row keeps the last
-    # slice in bounds and the wp - w wrap-around columns are cropped.
+    # slice in bounds and the wp - w wrap-around columns are cropped. The
+    # first tap's GEMM writes the accumulator; each later tap's is added.
     rows = tile_rows(h, (c + 2 * o) * wp * 8 * n)
     xb = np.zeros((n, c, rows + 2 * ph + 1, wp), dtype=np.float64)
     flat = xb.reshape(n, c, -1)
     taps = np.ascontiguousarray(kernel.weights.transpose(2, 3, 0, 1), dtype=np.float64)
+    starts = [i * d * wp + j * d for i in range(kh) for j in range(kw)]
+    taps = taps.reshape(kh * kw, o, c)
     acc = np.empty((n, o, rows * wp), dtype=np.float64)
-    prod = np.empty_like(acc)  # one product buffer, reused by every tap
+    prod = np.empty_like(acc)  # one product buffer, reused by every later tap
     bias = kernel.bias.astype(np.float64)[None, :, None, None]
     out = np.empty((n, o, h, w), dtype=np.float32)
     for r0 in range(0, h, rows):
@@ -116,15 +119,13 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
         xb[:, :, top:bottom, pw : pw + w] = x[:, :, lo:hi]
         xb[:, :, bottom:] = 0.0
         blk, tmp = acc[:, :, : rb * wp], prod[:, :, : rb * wp]
-        blk[...] = 0.0
-        for i in range(kh):
-            for j in range(kw):
-                start = i * d * wp + j * d
-                np.matmul(taps[i, j], flat[:, :, start : start + rb * wp], out=tmp)
-                blk += tmp
+        np.matmul(taps[0], flat[:, :, : rb * wp], out=blk)
+        for tap, start in zip(taps[1:], starts[1:]):
+            np.matmul(tap, flat[:, :, start : start + rb * wp], out=tmp)
+            blk += tmp
         blk = blk.reshape(n, o, rb, wp)[:, :, :, :w]
-        blk += bias
-        out[:, :, r0 : r0 + rb] = blk  # the one rounding to float32
+        # the bias add, then the one rounding to float32
+        np.add(blk, bias, out=out[:, :, r0 : r0 + rb], casting="unsafe")
     return out
 
 
