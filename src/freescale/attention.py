@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import BlurSpec, as_f32, linear, lowpass, softmax_rows, tile_rows
+from .tensor_ops import as_f32, linear, lowpass, softmax_rows, tile_rows
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,10 @@ def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     return acc.astype(np.float32)
 
 
-def scale_fusion(h_global: np.ndarray, h_local: np.ndarray, blur: BlurSpec) -> np.ndarray:
+def scale_fusion(h_global: np.ndarray, h_local: np.ndarray, mode: str) -> np.ndarray:
     """High-frequency band of the global branch plus low-frequency band of
-    the local branch: (g - lowpass(g)) + lowpass(l).
+    the local branch: (g - lowpass(g)) + lowpass(l), with the low-pass
+    filter named by mode.
     """
     h_global = as_f32(h_global)
     h_local = as_f32(h_local)
@@ -187,8 +188,8 @@ def scale_fusion(h_global: np.ndarray, h_local: np.ndarray, blur: BlurSpec) -> n
         raise ValueError("global/local shapes must agree")
     out = (
         h_global.astype(np.float64)
-        - lowpass(h_global, blur).astype(np.float64)
-        + lowpass(h_local, blur).astype(np.float64)
+        - lowpass(h_global, mode).astype(np.float64)
+        + lowpass(h_local, mode).astype(np.float64)
     )
     return out.astype(np.float32)
 
@@ -197,14 +198,14 @@ def fused_attention(
     h_in: np.ndarray,
     weights: AttentionWeights,
     grid: PatchGrid,
-    blur: BlurSpec,
+    mode: str,
 ) -> np.ndarray:
     """Scale-fused self-attention: global attention over the whole map,
     patch-local attention over the grid's crops reassembled by overlap
     averaging, fused per band.
 
     Equal to scale_fusion(self_attention(h), reconstruct_average(
-    self_attention(shifted_crop_sampling(h, grid)), grid), blur), but each
+    self_attention(shifted_crop_sampling(h, grid)), grid), mode), but each
     token is projected once: a crop's q, k and v are its rows of the map's.
     """
     h_in = as_f32(h_in)
@@ -240,19 +241,20 @@ def fused_attention(
             cover[top : top + wh, left : left + wl] += 1.0
     del q, k, v
     acc /= cover
-    return scale_fusion(h_global, acc.astype(np.float32), blur)
+    return scale_fusion(h_global, acc.astype(np.float32), mode)
 
 
 @dataclass(frozen=True)
 class FusionConfig:
     """Per-level fusion settings: patch window size on the attention map at
-    the training resolution, and the low-pass filter used for fusion.
+    the training resolution, and the mode of the low-pass filter used for
+    fusion (one of tensor_ops.BLUR_MODES).
     The stride is half the window (at least 1); a map the window does not
     fit or tile is a ValueError.
     """
 
     window: int
-    blur: BlurSpec
+    blur: str
 
     def grid_for(self, height: int, width: int) -> PatchGrid:
         s = max(self.window // 2, 1)

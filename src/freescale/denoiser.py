@@ -19,17 +19,22 @@ from .attention import AttentionWeights, FusionConfig, fused_attention, self_att
 from .tensor_ops import Kernel2D, as_f32, conv2d, linear, tile_rows, upsample
 
 
+# The UNet's depth: two stride-2 down blocks and their mirrored up blocks.
+DOWN_BLOCKS = 2
+
+# Restrained dilation is off for this final fraction of the sampling steps.
+DILATION_STOP_FRACTION = 0.3
+
+
 @dataclass(frozen=True)
 class UNetConfig:
     latent_channels: int
     base_width: int
     time_embedding_dim: int
     cond_dim: int
-    down_blocks: int = 2
 
     def __post_init__(self):
-        sizes = (self.latent_channels, self.base_width, self.down_blocks,
-                 self.time_embedding_dim, self.cond_dim)
+        sizes = (self.latent_channels, self.base_width, self.time_embedding_dim, self.cond_dim)
         if min(sizes) < 1:
             raise ValueError("every UNet size must be >= 1")
         if self.time_embedding_dim % 2 != 0:
@@ -37,29 +42,16 @@ class UNetConfig:
 
     @property
     def widths(self) -> list[int]:
-        return [self.base_width * 2**i for i in range(self.down_blocks + 1)]
+        return [self.base_width * 2**i for i in range(DOWN_BLOCKS + 1)]
 
 
-@dataclass(frozen=True)
-class DilationPolicy:
-    """Restrained dilation: factor d in the down and mid blocks, never in
-    the up blocks (dilating them smears textures), and disabled for the
-    final stop_fraction of the sampling steps.
-    """
-
-    dilation_factor: int
-    stop_fraction: float = 0.3
-
-    def __post_init__(self):
-        if self.dilation_factor < 1:
-            raise ValueError("dilation_factor must be >= 1")
-        if not (0.0 <= self.stop_fraction <= 1.0):
-            raise ValueError("stop_fraction must lie in [0, 1]")
-
-    def group_dilation(self, step: int, total: int) -> dict:
-        """Per-group dilation map for DDIM step `step` (0-based) of `total`."""
-        d = self.dilation_factor if step < (1.0 - self.stop_fraction) * total else 1
-        return {"down": d, "mid": d, "up": 1}
+def group_dilation(factor: int, step: int, total: int) -> dict:
+    """Restrained dilation's per-group map for DDIM step `step` (0-based) of
+    `total`: factor in the down and mid blocks, never in the up blocks
+    (dilating them smears textures), and 1 for the final
+    DILATION_STOP_FRACTION of the steps."""
+    d = factor if step < (1.0 - DILATION_STOP_FRACTION) * total else 1
+    return {"down": d, "mid": d, "up": 1}
 
 
 class WeightSet:
@@ -101,7 +93,7 @@ def _layer_specs(config: UNetConfig):
     dense("temb.fc1", emb + config.cond_dim, emb)
     dense("temb.fc2", emb, emb)
     conv("stem", w[0], config.latent_channels)
-    for i in range(config.down_blocks):
+    for i in range(DOWN_BLOCKS):
         conv(f"down{i}.conv_a", w[i + 1], w[i])
         conv(f"down{i}.conv_b", w[i + 1], w[i + 1])
         dense(f"down{i}.emb", emb, w[i + 1])
@@ -110,7 +102,7 @@ def _layer_specs(config: UNetConfig):
     dense("mid.emb", emb, w[-1])
     for name in ("w_q", "w_k", "w_v", "w_o"):
         specs.append((f"mid.attn.{name}", (w[-1], w[-1]), w[-1]))
-    for i in reversed(range(config.down_blocks)):
+    for i in reversed(range(DOWN_BLOCKS)):
         conv(f"up{i}.conv_a", w[i], 2 * w[i + 1])
         conv(f"up{i}.conv_b", w[i], w[i])
         dense(f"up{i}.emb", emb, w[i])
@@ -206,8 +198,8 @@ def predict_noise(
     layers before the first embedding add run once, on the one latent row.
 
     dilation maps each block group ("down", "mid", "up") to the dilation of
-    its convolutions (DilationPolicy.group_dilation gives the restrained
-    map); a missing map or group means dilation 1. When a fusion config is
+    its convolutions (group_dilation gives the restrained map); a missing
+    map or group means dilation 1. When a fusion config is
     present the mid self-attention layer is replaced by fused_attention.
     """
     cfg = weights.config
@@ -219,7 +211,7 @@ def predict_noise(
         raise ValueError(
             f"latent has {z_t.shape[1]} channels, config expects {cfg.latent_channels}"
         )
-    div = 2**cfg.down_blocks
+    div = 2**DOWN_BLOCKS
     if z_t.shape[2] % div or z_t.shape[3] % div:
         raise ValueError(f"spatial dims must be divisible by {div}, got {z_t.shape[2:]}")
     if cond.ndim != 2 or len(cond) < 1 or cond.shape[1] != cfg.cond_dim:
@@ -234,7 +226,7 @@ def predict_noise(
 
     h = conv2d(z_t, weights.kernel("stem"), 1)
     skips = []
-    for i in range(cfg.down_blocks):
+    for i in range(DOWN_BLOCKS):
         h = _conv_block(h, e, weights, f"down{i}", dilation.get("down", 1))
         skips.append(h)
         h = _avg_pool2(h)
@@ -252,7 +244,7 @@ def predict_noise(
     else:
         h += self_attention(h, attn_w)
 
-    for i in reversed(range(cfg.down_blocks)):
+    for i in reversed(range(DOWN_BLOCKS)):
         h = np.concatenate([upsample(h, 2, "nearest"), skips.pop()], axis=1)
         h = _conv_block(h, e, weights, f"up{i}", dilation.get("up", 1))
 

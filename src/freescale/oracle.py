@@ -16,9 +16,9 @@ from functools import partial
 import numpy as np
 
 from .attention import PatchGrid, reconstruct_average, scale_fusion, shifted_crop_sampling
-from .denoiser import DilationPolicy, UNetConfig, init_weights, predict_noise
+from .denoiser import UNetConfig, group_dilation, init_weights, predict_noise
 from .scheduler import decay_factor, ddim_step, forward_noise, make_schedule
-from .tensor_ops import BlurSpec, Kernel2D, conv2d, lowpass, upsample
+from .tensor_ops import Kernel2D, conv2d, lowpass, upsample
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
     weights = init_weights(cfg, 11)
     z = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
     cond = rng.standard_normal((1, 8)).astype(np.float32)
-    dilation = DilationPolicy(dilation_factor=2, stop_fraction=0.0).group_dilation(0, 10)
+    dilation = group_dilation(2, 0, 10)
     if mutate_dilate_up:
         dilation = dict(dilation, up=2)
     got = predict_noise(z, 500, cond, weights, dilation)
@@ -112,7 +112,7 @@ def check_fusion(fusion_fn=scale_fusion, trials: int = 20) -> CheckResult:
     """DFT projection oracle: the fused map's low band must match the local
     branch and its high band the global branch, coefficient-wise.
     """
-    blur = BlurSpec(mode="ideal_lowpass", cutoff=0.25)
+    blur = "ideal_lowpass"
     rng = np.random.default_rng(29)
     max_dev = 0.0
     for _ in range(trials):

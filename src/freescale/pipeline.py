@@ -17,10 +17,11 @@ import numpy as np
 from . import __version__
 from .attention import FusionConfig
 from .denoiser import (
-    DilationPolicy,
+    DOWN_BLOCKS,
     UNetConfig,
     WeightSet,
     cfg_combine,
+    group_dilation,
     init_weights,
     predict_noise,
     prompt_embedding,
@@ -34,7 +35,7 @@ from .scheduler import (
     forward_noise,
     make_schedule,
 )
-from .tensor_ops import BlurSpec
+from .tensor_ops import BLUR_MODES
 from .vae import AutoencoderSpec, decode, make_autoencoder, phi_upsample
 
 
@@ -72,7 +73,6 @@ class CascadeConfig:
     injection_step: int = 700
     guidance_scale: float = 7.5
     upsample_space: str = "rgb"
-    latent_upsample_mode: str = "nearest"
     alpha_default: float = 2.0
     blur_mode: str = "gaussian"
     base_latent_size: int = 16
@@ -103,8 +103,8 @@ class CascadeConfig:
             raise ConfigError("injection_step must lie in [1, total_timesteps]")
         if self.upsample_space not in ("rgb", "latent"):
             raise ConfigError("upsample_space must be 'rgb' or 'latent'")
-        if self.latent_upsample_mode not in ("nearest", "bilinear"):
-            raise ConfigError("latent_upsample_mode must be 'nearest' or 'bilinear'")
+        if self.blur_mode not in BLUR_MODES:
+            raise ConfigError(f"blur_mode must be one of {BLUR_MODES}")
         if not all(a >= MIN_ALPHA for a in (self.alpha_default, self.alpha_lo, self.alpha_hi)):
             raise ConfigError(f"alpha values must be >= {MIN_ALPHA}")
         try:
@@ -116,18 +116,18 @@ class CascadeConfig:
         if self.vae_patch < 1:
             raise ConfigError("vae_patch must be >= 1")
         try:
-            unet = self.unet_config()
+            self.unet_config()
             last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
-            fusion = self.fusion()
-        except ValueError as e:
+        except (ValueError, MemoryError) as e:  # a schedule too long to allocate
             raise ConfigError(str(e)) from e
-        div = 2**unet.down_blocks
-        if self.base_latent_size % div:
-            raise ConfigError(f"base_latent_size must be divisible by {div}")
-        # fusion grids need a window of >= 2
-        if fusion.window < 2:
-            raise ConfigError("base_latent_size too small for the attention window")
+        div = 2**DOWN_BLOCKS
+        if self.base_latent_size < 1 or self.base_latent_size % div:
+            raise ConfigError(f"base_latent_size must be positive and divisible by {div}")
+        fusion = self.fusion()
         for level in levels[1:] if self.fusion_enabled else ():
+            # a fusion grid needs a window of >= 2
+            if fusion.window < 2:
+                raise ConfigError("base_latent_size too small for the attention window")
             side = fusion.window * level
             try:
                 fusion.grid_for(side, side)
@@ -143,8 +143,7 @@ class CascadeConfig:
     def fusion(self) -> FusionConfig:
         """Scale fusion on the mid-block attention map: the window is that
         map's side at the base level, so level r's map is r windows across."""
-        window = self.base_latent_size // 2**self.unet_config().down_blocks
-        return FusionConfig(window=window, blur=BlurSpec(mode=self.blur_mode))
+        return FusionConfig(window=self.base_latent_size // 2**DOWN_BLOCKS, blur=self.blur_mode)
 
     def unet_config(self) -> UNetConfig:
         return UNetConfig(
@@ -207,7 +206,7 @@ def _denoise_loop(
     sched: NoiseSchedule,
     weights: WeightSet,
     config: CascadeConfig,
-    policy: DilationPolicy | None = None,
+    dilation_factor: int = 1,
     fusion: FusionConfig | None = None,
     anchor: np.ndarray | None = None,
     anchor_noise: np.ndarray | None = None,
@@ -221,7 +220,7 @@ def _denoise_loop(
     for i, t in enumerate(timesteps):
         t = int(t)
         t_prev = int(timesteps[i + 1]) if i + 1 < total else 0
-        dilation = policy.group_dilation(i, total) if policy is not None else None
+        dilation = group_dilation(dilation_factor, i, total)
         eps = predict_noise(z, t, conds, weights, dilation, fusion)
         eps = cfg_combine(eps[:1], eps[1:], config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
@@ -260,7 +259,7 @@ def cascade_level(
     then denoise the rest of the DDIM subsequence with restrained dilation,
     fused attention, and detail blending.
     """
-    phi = phi_upsample(z0_prev, 2, config.upsample_space, config.latent_upsample_mode, vae_spec)
+    phi = phi_upsample(z0_prev, config.upsample_space, vae_spec)
     rng = np.random.default_rng([config.seed, level])
     # one noise draw per level: it drives the injection and stays the anchor
     # noise for every blend step, so the anchor trajectory is consistent
@@ -269,7 +268,6 @@ def cascade_level(
     timesteps = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
     z = forward_noise(phi, timesteps[0], anchor_noise, sched)
 
-    policy = DilationPolicy(dilation_factor=level) if config.dilation_enabled else None
     fusion = config.fusion() if config.fusion_enabled else None
     ctrl = None
     if config.blend_enabled:
@@ -281,7 +279,7 @@ def cascade_level(
         sched,
         weights,
         config,
-        policy=policy,
+        dilation_factor=level if config.dilation_enabled else 1,
         fusion=fusion,
         anchor=phi,
         anchor_noise=anchor_noise,

@@ -18,6 +18,13 @@ import numpy as np
 # stays within TILE_BYTES; about 1 MiB keeps each GEMM at full speed.
 TILE_BYTES = 1 << 20
 
+# The fusion low-pass filters, named by mode. Their widths are constants of
+# the method: a Gaussian of sigma 1 pixel, or an ideal DFT cut-off at a
+# quarter of the sampling rate.
+BLUR_MODES = ("gaussian", "ideal_lowpass")
+GAUSSIAN_SIGMA = 1.0
+IDEAL_CUTOFF = 0.25
+
 
 def as_f32(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
@@ -55,23 +62,6 @@ class Kernel2D:
     @property
     def in_channels(self) -> int:
         return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class BlurSpec:
-    """Low-pass filter choice: separable Gaussian or ideal DFT cutoff."""
-
-    mode: str = "gaussian"
-    sigma: float = 1.0
-    cutoff: float = 0.25
-
-    def __post_init__(self):
-        if self.mode not in ("gaussian", "ideal_lowpass"):
-            raise ValueError(f"unknown blur mode {self.mode!r}")
-        if self.mode == "gaussian" and self.sigma <= 0:
-            raise ValueError("gaussian sigma must be positive")
-        if self.mode == "ideal_lowpass" and not (0.0 < self.cutoff <= 0.5):
-            raise ValueError("cutoff must lie in (0, 0.5]")
 
 
 def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
@@ -164,10 +154,11 @@ def upsample(x: np.ndarray, factor: int, mode: str = "nearest") -> np.ndarray:
     raise ValueError(f"unknown upsample mode {mode!r}")
 
 
-def gaussian_taps(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian kernel, truncated at radius ceil(3*sigma)."""
-    r = int(math.ceil(3.0 * sigma))
-    t = np.exp(-0.5 * (np.arange(-r, r + 1, dtype=np.float64) / sigma) ** 2)
+def gaussian_taps() -> np.ndarray:
+    """Normalized 1-D Gaussian kernel of GAUSSIAN_SIGMA, truncated at radius
+    ceil(3 sigma)."""
+    r = math.ceil(3.0 * GAUSSIAN_SIGMA)
+    t = np.exp(-0.5 * (np.arange(-r, r + 1, dtype=np.float64) / GAUSSIAN_SIGMA) ** 2)
     return t / t.sum()
 
 
@@ -186,33 +177,35 @@ def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _ideal_lowpass(x: np.ndarray, cutoff: float) -> np.ndarray:
+def _ideal_lowpass(x: np.ndarray) -> np.ndarray:
     h, w = x.shape[-2:]
     fy = np.abs(np.fft.fftfreq(h))
     fx = np.abs(np.fft.fftfreq(w))
-    keep = np.maximum(fy[:, None], fx[None, :]) <= cutoff
+    keep = np.maximum(fy[:, None], fx[None, :]) <= IDEAL_CUTOFF
     spec = np.fft.fft2(x, axes=(-2, -1))
     return np.real(np.fft.ifft2(spec * keep, axes=(-2, -1)))
 
 
-def lowpass(x: np.ndarray, spec: BlurSpec) -> np.ndarray:
-    """Per-channel low-pass filter.
+def lowpass(x: np.ndarray, mode: str) -> np.ndarray:
+    """Per-channel low-pass filter; mode is one of BLUR_MODES.
 
     gaussian: separable blur with reflect padding (constants are fixed
     points, mass preserved for constants). ideal_lowpass: zero every DFT
-    coefficient with max(|f_x|, |f_y|) above the cutoff; an idempotent
+    coefficient with max(|f_x|, |f_y|) above IDEAL_CUTOFF; an idempotent
     linear projection.
     """
     x = as_f32(x)
     if x.ndim != 4:
         raise ValueError(f"input must be NCHW, got shape {x.shape}")
+    if mode not in BLUR_MODES:
+        raise ValueError(f"unknown blur mode {mode!r}")
     x64 = x.astype(np.float64)
-    if spec.mode == "gaussian":
-        taps = gaussian_taps(spec.sigma)
+    if mode == "gaussian":
+        taps = gaussian_taps()
         y = _blur_axis(x64, taps, axis=2)
         y = _blur_axis(y, taps, axis=3)
     else:
-        y = _ideal_lowpass(x64, spec.cutoff)
+        y = _ideal_lowpass(x64)
     return y.astype(np.float32)
 
 

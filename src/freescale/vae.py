@@ -83,21 +83,14 @@ def decode(z: np.ndarray, spec: AutoencoderSpec) -> np.ndarray:
     return rgb.astype(np.float32)
 
 
-def phi_upsample(
-    z: np.ndarray,
-    factor: int,
-    space: str = "rgb",
-    mode: str = "nearest",
-    spec: AutoencoderSpec | None = None,
-) -> np.ndarray:
-    """Upsample a clean latent either directly (latent space) or by decoding
-    to RGB, bilinear-upsampling there, and re-encoding. The RGB path's mild
-    blur is intentional: it suppresses excess high-frequency content.
+def phi_upsample(z: np.ndarray, space: str, spec: AutoencoderSpec) -> np.ndarray:
+    """Double a clean latent's size, either directly (latent space, nearest
+    replication) or by decoding to RGB, bilinear-upsampling there, and
+    re-encoding. The RGB path's mild blur is intentional: it suppresses
+    excess high-frequency content.
     """
     if space == "latent":
-        return upsample(z, factor, mode)
+        return upsample(z, 2, "nearest")
     if space == "rgb":
-        if spec is None:
-            raise ValueError("rgb-space upsampling requires an AutoencoderSpec")
-        return encode(upsample(decode(z, spec), factor, "bilinear"), spec)
+        return encode(upsample(decode(z, spec), 2, "bilinear"), spec)
     raise ValueError(f"unknown upsampling space {space!r}")

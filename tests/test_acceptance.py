@@ -17,7 +17,7 @@ from freescale.attention import PatchGrid, reconstruct_average, scale_fusion, sh
 from freescale.denoiser import cfg_combine, init_weights, predict_noise, prompt_embedding
 from freescale.pipeline import CascadeConfig, cascade_level, direct_generate, generate_base, run
 from freescale.scheduler import ddim_step, decay_factor, forward_noise, make_schedule
-from freescale.tensor_ops import BlurSpec, Kernel2D, conv2d, lowpass, upsample
+from freescale.tensor_ops import Kernel2D, conv2d, lowpass, upsample
 from freescale.vae import make_autoencoder, phi_upsample
 
 
@@ -62,7 +62,7 @@ def toy_config_dict(seed=11):
 @criterion(1, "frequency-fusion projection (ideal lowpass, 100 pairs, <1e-5)")
 def test_criterion_01_fusion_projection():
     start = time.perf_counter()
-    blur = BlurSpec("ideal_lowpass", cutoff=0.25)
+    blur = "ideal_lowpass"
     rng = np.random.default_rng(101)
     max_dev = 0.0
     for _ in range(100):
@@ -219,7 +219,7 @@ def test_criterion_09_degradation():
     z0 = generate_base(config, weights, sched)
     got = cascade_level(z0, 2, config, weights, vae_spec, sched)
 
-    phi = phi_upsample(z0, 2, config.upsample_space, config.latent_upsample_mode, vae_spec)
+    phi = phi_upsample(z0, config.upsample_space, vae_spec)
     rng = np.random.default_rng([config.seed, 2])
     noise = rng.standard_normal(phi.shape).astype(np.float32)
     ts = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]

@@ -12,7 +12,7 @@ from freescale.attention import (
     self_attention,
     shifted_crop_sampling,
 )
-from freescale.tensor_ops import BlurSpec, linear, lowpass
+from freescale.tensor_ops import linear, lowpass
 from test_tensor_ops import reference_softmax_rows, traced_peak
 
 RNG = np.random.default_rng(5)
@@ -219,17 +219,17 @@ class TestReconstructAverage:
 class TestScaleFusion:
     def test_equal_inputs_identity(self):
         x = RNG.standard_normal((1, 2, 16, 16)).astype(np.float32)
-        out = scale_fusion(x, x, BlurSpec("gaussian", sigma=1.0))
+        out = scale_fusion(x, x, "gaussian")
         np.testing.assert_allclose(out, x, atol=1e-6)
 
     def test_constants(self):
         a = np.full((1, 1, 8, 8), 2.0, np.float32)
         b = np.full((1, 1, 8, 8), -1.0, np.float32)
-        out = scale_fusion(a, b, BlurSpec("gaussian", sigma=1.0))
+        out = scale_fusion(a, b, "gaussian")
         np.testing.assert_allclose(out, -1.0, atol=1e-5)
 
     def test_frequency_projection(self):
-        blur = BlurSpec("ideal_lowpass", cutoff=0.25)
+        blur = "ideal_lowpass"
         g = RNG.standard_normal((1, 4, 32, 32)).astype(np.float32)
         l = RNG.standard_normal((1, 4, 32, 32)).astype(np.float32)
         fused = scale_fusion(g, l, blur)
@@ -239,7 +239,7 @@ class TestScaleFusion:
         )
 
     def test_joint_linearity(self):
-        blur = BlurSpec("gaussian", sigma=1.0)
+        blur = "gaussian"
         g1, l1, g2, l2 = (
             RNG.standard_normal((1, 2, 12, 12)).astype(np.float32) for _ in range(4)
         )
@@ -249,16 +249,16 @@ class TestScaleFusion:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            scale_fusion(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 8, 8)), BlurSpec())
+            scale_fusion(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 8, 8)), "gaussian")
 
 
 # (map shape, window, blur): the level-8 and level-4 mid maps of the cascade
 # with their fusion filters, a level-2 map and a 12x12 map in a 5x5 grid
 FUSED_CASES = {
-    "level8": ((2, 32, 32, 32), 4, BlurSpec("ideal_lowpass")),
-    "level4": ((2, 64, 16, 16), 4, BlurSpec("gaussian")),
-    "level2": ((2, 64, 8, 8), 4, BlurSpec("gaussian")),
-    "12x12": ((1, 16, 12, 12), 4, BlurSpec("gaussian")),
+    "level8": ((2, 32, 32, 32), 4, "ideal_lowpass"),
+    "level4": ((2, 64, 16, 16), 4, "gaussian"),
+    "level2": ((2, 64, 8, 8), 4, "gaussian"),
+    "12x12": ((1, 16, 12, 12), 4, "gaussian"),
 }
 
 
@@ -267,7 +267,7 @@ class TestFusedAttention:
         w = random_weights(4)
         x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
         grid = PatchGrid(8, 8, 8, 8, 8, 8)
-        out = fused_attention(x, w, grid, BlurSpec("gaussian", sigma=1.0))
+        out = fused_attention(x, w, grid, "gaussian")
         np.testing.assert_allclose(out, self_attention(x, w), atol=1e-5)
 
     def test_constant_input_zero_qk(self):
@@ -276,7 +276,7 @@ class TestFusedAttention:
         w = AttentionWeights(zeros, zeros, RNG.standard_normal((dim, dim)), np.eye(dim))
         x = np.full((1, dim, 8, 8), 1.5, np.float32)
         grid = PatchGrid(8, 8, 4, 4, 2, 2)
-        out = fused_attention(x, w, grid, BlurSpec("gaussian", sigma=1.0))
+        out = fused_attention(x, w, grid, "gaussian")
         expected = self_attention(x, w)
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
@@ -284,7 +284,7 @@ class TestFusedAttention:
         w = random_weights(8)
         x = RNG.standard_normal((1, 8, 16, 16)).astype(np.float32)
         grid = PatchGrid(16, 16, 8, 8, 8, 8)  # 2x2 patches
-        blur = BlurSpec("gaussian", sigma=1.0)
+        blur = "gaussian"
         got = fused_attention(x, w, grid, blur)
         h_global = self_attention(x, w)
         patches = [x[:, :, t : t + 8, l : l + 8] for t, l in grid.positions]
@@ -330,17 +330,17 @@ class TestFusedAttention:
 
 class TestFusionConfig:
     def test_grid_defaults_half_window(self):
-        fc = FusionConfig(window=4, blur=BlurSpec())
+        fc = FusionConfig(window=4, blur="gaussian")
         grid = fc.grid_for(8, 8)
         assert (grid.window_h, grid.stride_h) == (4, 2)
         assert grid.count == 9
 
     def test_grid_degenerates_to_single_patch(self):
-        fc = FusionConfig(window=8, blur=BlurSpec())
+        fc = FusionConfig(window=8, blur="gaussian")
         grid = fc.grid_for(8, 8)
         assert grid.count == 1
 
     def test_window_larger_than_map_rejected(self):
-        fc = FusionConfig(window=8, blur=BlurSpec())
+        fc = FusionConfig(window=8, blur="gaussian")
         with pytest.raises(ValueError, match="window must fit"):
             fc.grid_for(4, 8)

@@ -193,10 +193,11 @@ class TestConfigErrors:
             {"levels": [1, 4]},  # levels lists every doubling
             {"alpha_lo": 0.0005},
             {"levels": [1, 2.7]},
-            {"upsample_space": "latent", "latent_upsample_mode": "cubic"},
-            {"latent_upsample_mode": "cubic"},
+            {"blur_mode": "box"},
+            {"upsample_space": "pixel"},
             {"prompt": "\ud800"},
             {"base_latent_size": 20},  # window 5 does not tile the 10x10 level-2 mid map
+            {"total_timesteps": 10**15},  # a schedule of 8 PB fails to allocate at once
         ],
     )
     @pytest.mark.parametrize("command", ["generate", "bench"])
@@ -213,7 +214,9 @@ class TestConfigErrors:
 
     # constants of the method, held by the components that use them
     @pytest.mark.parametrize(
-        "key", ["blur_sigma", "blur_cutoff", "dilation_stop_fraction", "down_blocks"]
+        "key",
+        ["blur_sigma", "blur_cutoff", "dilation_stop_fraction", "down_blocks",
+         "latent_upsample_mode"],
     )
     def test_removed_key_exits_2(self, tmp_path, capsys, key):
         with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):

@@ -6,21 +6,19 @@ import pytest
 from freescale import denoiser, tensor_ops
 from freescale.attention import FusionConfig
 from freescale.denoiser import (
-    DilationPolicy,
     UNetConfig,
     _avg_pool2,
     _channel_norm,
     _silu,
     cfg_combine,
+    group_dilation,
     init_weights,
     predict_noise,
     prompt_embedding,
 )
-from freescale.tensor_ops import BlurSpec
 from test_tensor_ops import traced_peak
 
-SMALL = UNetConfig(latent_channels=3, base_width=8, down_blocks=2,
-                   time_embedding_dim=16, cond_dim=8)
+SMALL = UNetConfig(latent_channels=3, base_width=8, time_embedding_dim=16, cond_dim=8)
 
 
 def small_inputs(size=16, seed=0):
@@ -38,8 +36,7 @@ class TestInitWeights:
         assert init_weights(SMALL, 3).checksum() != init_weights(SMALL, 4).checksum()
 
     def test_fan_in_variance(self):
-        cfg = UNetConfig(latent_channels=4, base_width=32, down_blocks=2,
-                         time_embedding_dim=64, cond_dim=32)
+        cfg = UNetConfig(latent_channels=4, base_width=32, time_embedding_dim=64, cond_dim=32)
         ws = init_weights(cfg, 0)
         fan_ins = {
             name: shape[1] * 9 if len(shape) == 4 else shape[0]
@@ -58,10 +55,11 @@ class TestInitWeights:
 
 
 class TestDilationPolicy:
-    @pytest.mark.parametrize("stop_fraction", [-0.1, 1.5])
-    def test_stop_fraction_range(self, stop_fraction):
-        with pytest.raises(ValueError, match=r"stop_fraction must lie in \[0, 1\]"):
-            DilationPolicy(2, stop_fraction=stop_fraction)
+    def test_up_blocks_and_last_30_percent_undilated(self):
+        on, off = {"down": 3, "mid": 3, "up": 1}, {"down": 1, "mid": 1, "up": 1}
+        assert [group_dilation(3, step, 10) for step in range(10)] == [on] * 7 + [off] * 3
+        assert [group_dilation(3, step, 50) for step in range(50)].count(on) == 35
+        assert group_dilation(1, 0, 10) == off
 
 
 class TestPredictNoise:
@@ -69,36 +67,32 @@ class TestPredictNoise:
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()
         base = predict_noise(z, 500, cond, ws)
-        with_policy = predict_noise(
-            z, 500, cond, ws, DilationPolicy(1, stop_fraction=0.0).group_dilation(0, 10)
-        )
+        with_policy = predict_noise(z, 500, cond, ws, group_dilation(1, 0, 10))
         np.testing.assert_array_equal(base, with_policy)
 
     def test_late_step_cutoff_disables_dilation(self):
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()
         base = predict_noise(z, 100, cond, ws)
-        policy = DilationPolicy(4, stop_fraction=0.3)
-        late = predict_noise(z, 100, cond, ws, policy.group_dilation(9, 10))
+        late = predict_noise(z, 100, cond, ws, group_dilation(4, 9, 10))
         np.testing.assert_array_equal(base, late)
-        early = predict_noise(z, 100, cond, ws, policy.group_dilation(0, 10))
+        early = predict_noise(z, 100, cond, ws, group_dilation(4, 0, 10))
         assert np.max(np.abs(early - base)) > 1e-6
 
     def test_dilation_changes_no_parameters(self):
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()
         before = ws.checksum()
-        predict_noise(z, 500, cond, ws, DilationPolicy(2, stop_fraction=0.0).group_dilation(0, 10))
+        predict_noise(z, 500, cond, ws, group_dilation(2, 0, 10))
         assert ws.checksum() == before
 
     def test_deterministic_hash_with_policy_and_fusion(self):
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()
-        fusion = FusionConfig(window=2, blur=BlurSpec("gaussian", sigma=1.0))
-        policy = DilationPolicy(2, stop_fraction=0.0)
+        fusion = FusionConfig(window=2, blur="gaussian")
         digests = set()
         for _ in range(2):
-            out = predict_noise(z, 500, cond, ws, policy.group_dilation(0, 10), fusion)
+            out = predict_noise(z, 500, cond, ws, group_dilation(2, 0, 10), fusion)
             digests.add(hashlib.sha256(out.tobytes()).hexdigest())
         assert len(digests) == 1
 
@@ -106,7 +100,7 @@ class TestPredictNoise:
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs(size=8)
         # attention map is 2x2; a window covering it makes both branches equal
-        fusion = FusionConfig(window=2, blur=BlurSpec("gaussian", sigma=1.0))
+        fusion = FusionConfig(window=2, blur="gaussian")
         fused = predict_noise(z, 500, cond, ws, fusion=fusion)
         plain = predict_noise(z, 500, cond, ws)
         np.testing.assert_allclose(fused, plain, atol=1e-5)
@@ -137,14 +131,14 @@ class TestPredictNoise:
 
 class TestBatchRows:
     # the two rows of one batch are the two guidance branches of a DDIM step
-    @pytest.mark.parametrize("blur", [None, BlurSpec("gaussian", sigma=1.0),
-                                      BlurSpec("ideal_lowpass", cutoff=0.25)])
+    @pytest.mark.parametrize("blur", [None, "gaussian", "ideal_lowpass"],
+                             ids=["None", "blur1", "blur2"])
     @pytest.mark.parametrize("factor", [1, 2])
     def test_each_row_equals_its_single_run(self, factor, blur):
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()
         conds = np.concatenate([np.zeros_like(cond), cond])
-        dilation = DilationPolicy(factor, stop_fraction=0.0).group_dilation(0, 10)
+        dilation = group_dilation(factor, 0, 10)
         fusion = None if blur is None else FusionConfig(window=2, blur=blur)  # 9 patches
         batch = predict_noise(z, 500, conds, ws, dilation, fusion)
         for row in range(2):

@@ -40,6 +40,13 @@ GOLDEN = {
         "4cc4fdc7ecabcd0a33fe3a55542db6f37619c966ebb205695e3efa6ad247ffa4",
         "4bf8166ce8dcfada8e975f77f6f01822c17712747e6252b6702319caddef28ae",
     ),
+    # the level-8 path: latent upsampling, FFT low-pass and a per-pixel alpha
+    "four_levels": (
+        {"levels": (1, 2, 4, 8), "upsample_space": "latent", "blur_mode": "ideal_lowpass"},
+        True,
+        "dd3cd4296cff65679c3368e2d470e9d9c82746947729682a45498e4dc76566f2",
+        "9ea1d7e96c0d20b90df6b69693745db65cca1b3e0a86bb52fc9d113bb1050f58",
+    ),
 }
 
 

@@ -62,6 +62,9 @@ class TestConfigValidation:
     def test_latent_divisibility(self):
         with pytest.raises(ConfigError, match="divisible"):
             CascadeConfig(base_latent_size=10)
+        for size in (0, -4):
+            with pytest.raises(ConfigError, match="positive"):
+                CascadeConfig(base_latent_size=size, levels=(1,), fusion_enabled=False)
 
     def test_fusion_grid_must_tile(self):
         # window 5, stride 2: the 10x10 mid map of level 2 does not tile
@@ -73,6 +76,16 @@ class TestConfigValidation:
         CascadeConfig(base_latent_size=20, levels=(1, 2), fusion_enabled=False)
         CascadeConfig(base_latent_size=20, levels=(1,))
         CascadeConfig(base_latent_size=12, levels=(1, 2, 4, 8))  # window 3, stride 1
+        # base 4: the 1x1 mid map is too small for a window, which only the
+        # fused levels above 1 use
+        small = dict(base_latent_size=4, steps=4, base_width=8, time_embedding_dim=16,
+                     cond_dim=8)
+        with pytest.raises(ConfigError, match="too small for the attention window"):
+            CascadeConfig(levels=(1, 2), **small)
+        for levels, fused in (((1,), False), ((1, 2), False), ((1,), True)):
+            CascadeConfig(levels=levels, fusion_enabled=fused, **small)
+        image = run(CascadeConfig(levels=(1,), fusion_enabled=False, **small))["image"]
+        assert image.shape == (1, 3, 8, 8) and np.all(np.isfinite(image))
 
     def test_round_trip_dict(self):
         cfg = CascadeConfig(levels=(1, 2), seed=9)
@@ -213,7 +226,7 @@ class TestCascadeLevel:
             z0 = generate_base(bare, weights, sched)
             got = cascade_level(z0, 2, bare, weights, vae_spec, sched)
 
-            phi = phi_upsample(z0, 2, bare.upsample_space, bare.latent_upsample_mode, vae_spec)
+            phi = phi_upsample(z0, bare.upsample_space, vae_spec)
             rng = np.random.default_rng([bare.seed, 2])
             noise = rng.standard_normal(phi.shape).astype(np.float32)
             ts = [int(t) for t in sched.ddim_timesteps if t <= bare.injection_step]

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from freescale.pipeline import CascadeConfig, ConfigError, run
 
 
-# 8^2 base latent, width-8 UNet: a run takes tens of milliseconds. Latent
-# upsampling, so that latent_upsample_mode is read.
+# 8^2 base latent, width-8 UNet: a run takes tens of milliseconds.
 _SMALL = {
     "prompt": "property scene",
     "levels": [1, 2],
@@ -40,7 +39,6 @@ def valid_configs(draw):
         fusion_enabled=draw(st.booleans()),
         blend_enabled=draw(st.booleans()),
         upsample_space=draw(st.sampled_from(["rgb", "latent"])),
-        latent_upsample_mode=draw(st.sampled_from(["nearest", "bilinear"])),
         blur_mode=draw(st.sampled_from(["gaussian", "ideal_lowpass"])),
         seed=draw(st.integers(0, 2**32 - 1)),
     ))

@@ -6,7 +6,6 @@ import pytest
 from freescale import tensor_ops
 from freescale.oracle import reference_conv2d
 from freescale.tensor_ops import (
-    BlurSpec,
     Kernel2D,
     conv2d,
     gaussian_taps,
@@ -159,48 +158,45 @@ class TestUpsample:
 class TestLowpass:
     def test_constant_fixed_point(self):
         x = np.full((1, 2, 8, 8), 3.25, np.float32)
-        for spec in (BlurSpec("gaussian", sigma=1.2), BlurSpec("ideal_lowpass", cutoff=0.3)):
-            np.testing.assert_allclose(lowpass(x, spec), x, atol=1e-5)
+        for mode in ("gaussian", "ideal_lowpass"):
+            np.testing.assert_allclose(lowpass(x, mode), x, atol=1e-5)
 
     def test_gaussian_impulse_response(self):
-        sigma = 0.8
-        taps = gaussian_taps(sigma)
+        taps = gaussian_taps()
         r = (len(taps) - 1) // 2
+        assert r == 3  # sigma 1, truncated at 3 sigma
         x = np.zeros((1, 1, 17, 17), np.float32)
         x[0, 0, 8, 8] = 1.0
-        out = lowpass(x, BlurSpec("gaussian", sigma=sigma))[0, 0]
+        out = lowpass(x, "gaussian")[0, 0]
         np.testing.assert_allclose(out[8, 8 - r : 8 + r + 1], taps[r] * taps, atol=1e-6)
         np.testing.assert_allclose(out[8 - r : 8 + r + 1, 8], taps[r] * taps, atol=1e-6)
 
     def test_gaussian_taps_normalized(self):
-        assert abs(gaussian_taps(2.3).sum() - 1.0) < 1e-12
+        assert abs(gaussian_taps().sum() - 1.0) < 1e-12
 
     def test_ideal_idempotent(self):
         x = RNG.standard_normal((1, 3, 16, 16)).astype(np.float32)
-        spec = BlurSpec("ideal_lowpass", cutoff=0.2)
-        once = lowpass(x, spec)
-        np.testing.assert_allclose(lowpass(once, spec), once, atol=1e-5)
+        once = lowpass(x, "ideal_lowpass")
+        np.testing.assert_allclose(lowpass(once, "ideal_lowpass"), once, atol=1e-5)
 
     def test_linearity_both_modes(self):
         x = RNG.standard_normal((1, 2, 12, 12)).astype(np.float32)
         y = RNG.standard_normal((1, 2, 12, 12)).astype(np.float32)
-        for spec in (BlurSpec("gaussian", sigma=1.0), BlurSpec("ideal_lowpass", cutoff=0.25)):
-            lhs = lowpass(2.0 * x + y, spec)
-            rhs = 2.0 * lowpass(x, spec) + lowpass(y, spec)
+        for mode in ("gaussian", "ideal_lowpass"):
+            lhs = lowpass(2.0 * x + y, mode)
+            rhs = 2.0 * lowpass(x, mode) + lowpass(y, mode)
             np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     def test_gaussian_mean_preserved_for_constants(self):
         x = np.full((1, 1, 10, 10), -1.75, np.float32)
-        out = lowpass(x, BlurSpec("gaussian", sigma=1.5))
+        out = lowpass(x, "gaussian")
         assert abs(float(out.mean()) - float(x.mean())) < 1e-5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lowpass(np.zeros((4, 4)), BlurSpec("gaussian", sigma=1.0))
-        with pytest.raises(ValueError):
-            BlurSpec("gaussian", sigma=0.0)
-        with pytest.raises(ValueError):
-            BlurSpec("ideal_lowpass", cutoff=0.6)
+            lowpass(np.zeros((4, 4)), "gaussian")
+        with pytest.raises(ValueError, match="unknown blur mode"):
+            lowpass(np.zeros((1, 1, 4, 4)), "box")
 
 
 def reference_softmax_rows(m):

@@ -66,34 +66,28 @@ class TestRoundTrip:
 
 
 class TestPhiUpsample:
-    def test_factor_one(self):
-        spec = make_autoencoder(patch=2, seed=2)
-        z = RNG.standard_normal((1, 12, 4, 4)).astype(np.float32)
-        np.testing.assert_allclose(phi_upsample(z, 1, "latent", spec=spec), z, atol=1e-5)
-        np.testing.assert_allclose(phi_upsample(z, 1, "rgb", spec=spec), z, atol=1e-5)
-
     def test_latent_nearest_replication(self):
         spec = make_autoencoder(patch=2, seed=2)
         z = np.arange(1, 5, dtype=np.float32).reshape(1, 1, 2, 2).repeat(12, axis=1)
-        out = phi_upsample(z, 2, "latent", "nearest", spec)
+        out = phi_upsample(z, "latent", spec)
         expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
         np.testing.assert_array_equal(out[0, 0], expected)
 
     def test_rgb_composition_oracle(self):
         spec = make_autoencoder(patch=2, seed=2)
         z = RNG.standard_normal((1, 12, 4, 4)).astype(np.float32)
-        got = phi_upsample(z, 2, "rgb", spec=spec)
+        got = phi_upsample(z, "rgb", spec)
         expected = encode(upsample(decode(z, spec), 2, "bilinear"), spec)
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
     def test_rgb_and_latent_paths_differ(self):
         spec = make_autoencoder(patch=2, seed=2)
         z = RNG.standard_normal((1, 12, 4, 4)).astype(np.float32)
-        rgb = phi_upsample(z, 2, "rgb", spec=spec)
-        lat = phi_upsample(z, 2, "latent", "nearest", spec)
+        rgb = phi_upsample(z, "rgb", spec)
+        lat = phi_upsample(z, "latent", spec)
         assert np.max(np.abs(rgb - lat)) > 1e-3
 
     def test_unknown_space(self):
         spec = make_autoencoder(patch=2, seed=2)
         with pytest.raises(ValueError):
-            phi_upsample(np.zeros((1, 12, 2, 2)), 2, "pixelspace", spec=spec)
+            phi_upsample(np.zeros((1, 12, 2, 2)), "pixelspace", spec)
