@@ -245,7 +245,7 @@ def predict_noise(
         h += self_attention(h, attn_w)
 
     for i in reversed(range(DOWN_BLOCKS)):
-        h = np.concatenate([upsample(h, 2, "nearest"), skips.pop()], axis=1)
+        h = np.concatenate([upsample(h, "nearest"), skips.pop()], axis=1)
         h = _conv_block(h, e, weights, f"up{i}", dilation.get("up", 1))
 
     return conv2d(_channel_norm(h), weights.kernel("head"), 1)

@@ -115,10 +115,11 @@ class CascadeConfig:
             raise ConfigError("seed must be non-negative")
         if self.vae_patch < 1:
             raise ConfigError("vae_patch must be >= 1")
+        if not (1 <= self.steps <= self.total_timesteps):
+            raise ConfigError("steps must lie in [1, total_timesteps]")
         try:
             self.unet_config()
-            last = int(make_schedule(self.total_timesteps, self.steps).ddim_timesteps[-1])
-        except (ValueError, MemoryError) as e:  # a schedule too long to allocate
+        except ValueError as e:
             raise ConfigError(str(e)) from e
         div = 2**DOWN_BLOCKS
         if self.base_latent_size < 1 or self.base_latent_size % div:
@@ -137,6 +138,7 @@ class CascadeConfig:
                     f"{fusion.window} does not tile the {side}x{side} mid map of level {level} ({e})"
                 ) from e
         # above the smallest DDIM timestep the cascade levels run no step at all
+        last = self.total_timesteps - (self.total_timesteps // self.steps) * (self.steps - 1)
         if len(levels) > 1 and last > self.injection_step:
             raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
 
@@ -168,6 +170,15 @@ class CascadeConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**raw)
+
+
+def _schedule(config: CascadeConfig) -> NoiseSchedule:
+    """The config's noise schedule; one too long to allocate is a config
+    error, found when a run starts rather than when the config is built."""
+    try:
+        return make_schedule(config.total_timesteps, config.steps)
+    except MemoryError as e:
+        raise ConfigError(f"total_timesteps {config.total_timesteps}: {e}") from e
 
 
 def nearest_resize(map2d: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -300,7 +311,7 @@ def latent_to_image(z0: np.ndarray, vae_spec: AutoencoderSpec) -> np.ndarray:
 
 def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
     """Execute the full cascade; returns {"image", "latent", "manifest"}."""
-    sched = make_schedule(config.total_timesteps, config.steps)
+    sched = _schedule(config)
     weights = init_weights(config.unet_config(), config.seed)
     vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
 
@@ -337,6 +348,6 @@ def _level_record(level: int, z0: np.ndarray, t_start: float) -> dict:
 def direct_generate(config: CascadeConfig, level: int) -> np.ndarray:
     """Plain DDIM inference directly at the given resolution level (the
     benchmarking baseline; no cascade machinery)."""
-    sched = make_schedule(config.total_timesteps, config.steps)
+    sched = _schedule(config)
     weights = init_weights(config.unet_config(), config.seed)
     return _plain_ddim(config, weights, sched, level, 1000 + level)

@@ -8,6 +8,7 @@ results are order-stable and reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,9 +120,9 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     return out
 
 
-def _resample_axis_bilinear(x: np.ndarray, factor: int, axis: int) -> np.ndarray:
+def _resample_axis_bilinear(x: np.ndarray, axis: int) -> np.ndarray:
     n = x.shape[axis]
-    src = (np.arange(n * factor, dtype=np.float64) + 0.5) / factor - 0.5
+    src = (np.arange(2 * n, dtype=np.float64) + 0.5) / 2 - 0.5
     lo = np.floor(src).astype(np.int64)
     frac = src - lo
     i0 = np.clip(lo, 0, n - 1)
@@ -132,24 +133,20 @@ def _resample_axis_bilinear(x: np.ndarray, factor: int, axis: int) -> np.ndarray
     return (1.0 - frac) * np.take(x, i0, axis=axis) + frac * np.take(x, i1, axis=axis)
 
 
-def upsample(x: np.ndarray, factor: int, mode: str = "nearest") -> np.ndarray:
-    """Spatial upsampling by an integer factor (NCHW).
+def upsample(x: np.ndarray, mode: str = "nearest") -> np.ndarray:
+    """Spatial upsampling by 2 (NCHW).
 
-    nearest replicates each pixel factor x factor; bilinear uses the
-    align-corners-false convention (sample centers at (i+0.5)/f - 0.5).
+    nearest replicates each pixel 2 x 2; bilinear uses the
+    align-corners-false convention (sample centers at (i+0.5)/2 - 0.5).
     """
     x = as_f32(x)
     if x.ndim != 4:
         raise ValueError(f"input must be NCHW, got shape {x.shape}")
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"factor must be a positive integer, got {factor}")
-    if factor == 1:
-        return x.copy()
     if mode == "nearest":
-        return np.repeat(np.repeat(x, factor, axis=2), factor, axis=3)
+        return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
     if mode == "bilinear":
-        y = _resample_axis_bilinear(x.astype(np.float64), int(factor), axis=2)
-        y = _resample_axis_bilinear(y, int(factor), axis=3)
+        y = _resample_axis_bilinear(x.astype(np.float64), axis=2)
+        y = _resample_axis_bilinear(y, axis=3)
         return y.astype(np.float32)
     raise ValueError(f"unknown upsample mode {mode!r}")
 
@@ -162,28 +159,34 @@ def gaussian_taps() -> np.ndarray:
     return t / t.sum()
 
 
-def _blur_axis(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    r = (len(taps) - 1) // 2
-    n = x.shape[axis]
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (r, r)
-    pad_mode = "reflect" if r <= n - 1 else "symmetric"
-    xp = np.pad(x, pad, mode=pad_mode)
-    out = np.zeros_like(x)
-    for k, g in enumerate(taps):
-        sl = [slice(None)] * x.ndim
-        sl[axis] = slice(k, k + n)
-        out += g * xp[tuple(sl)]
-    return out
+@functools.cache
+def _lowpass_matrix(mode: str, n: int) -> np.ndarray:
+    """The filter of one axis of n samples as a read-only float64 [n, n]
+    matrix: row i holds the weights output sample i takes from the input.
 
-
-def _ideal_lowpass(x: np.ndarray) -> np.ndarray:
-    h, w = x.shape[-2:]
-    fy = np.abs(np.fft.fftfreq(h))
-    fx = np.abs(np.fft.fftfreq(w))
-    keep = np.maximum(fy[:, None], fx[None, :]) <= IDEAL_CUTOFF
-    spec = np.fft.fft2(x, axes=(-2, -1))
-    return np.real(np.fft.ifft2(spec * keep, axes=(-2, -1)))
+    gaussian: the taps at the source indices of the reflect-padded axis
+    (symmetric when the axis is too short to reflect the radius).
+    ideal_lowpass: the real inverse DFT of the mask |f| <= IDEAL_CUTOFF,
+    a circulant whose entry (i, j) depends on (i - j) mod n only.
+    """
+    d = np.arange(n)
+    if mode == "gaussian":
+        taps = gaussian_taps()
+        r = (len(taps) - 1) // 2
+        src = np.pad(d, r, mode="reflect" if r <= n - 1 else "symmetric")
+        a = np.zeros((n, n))
+        for k, g in enumerate(taps):
+            a[d, src[k : k + n]] += g
+    else:
+        freq = np.minimum(d, n - d)  # |frequency| of DFT bin d, in cycles per n samples
+        m = np.outer(d[freq <= IDEAL_CUTOFF * n], d) % n
+        m = np.minimum(m, n - m)
+        # cos(2 pi m / n) as sin(pi/2 - 2 pi m / n): exact 0 and +-1 at
+        # quarter turns, so a side of 4 keeps its dyadic weights
+        c = np.sin(np.pi * (n - 4 * m) / (2 * n)).sum(axis=0) / n
+        a = c[(d[:, None] - d[None, :]) % n]
+    a.flags.writeable = False
+    return a
 
 
 def lowpass(x: np.ndarray, mode: str) -> np.ndarray:
@@ -192,20 +195,18 @@ def lowpass(x: np.ndarray, mode: str) -> np.ndarray:
     gaussian: separable blur with reflect padding (constants are fixed
     points, mass preserved for constants). ideal_lowpass: zero every DFT
     coefficient with max(|f_x|, |f_y|) above IDEAL_CUTOFF; an idempotent
-    linear projection.
+    linear projection. Both are separable, so each map is A_H @ x @ A_W^T
+    with one cached matrix per axis.
     """
     x = as_f32(x)
     if x.ndim != 4:
         raise ValueError(f"input must be NCHW, got shape {x.shape}")
     if mode not in BLUR_MODES:
         raise ValueError(f"unknown blur mode {mode!r}")
-    x64 = x.astype(np.float64)
-    if mode == "gaussian":
-        taps = gaussian_taps()
-        y = _blur_axis(x64, taps, axis=2)
-        y = _blur_axis(y, taps, axis=3)
-    else:
-        y = _ideal_lowpass(x64)
+    h, w = x.shape[2:]
+    # in one expression the float64 copy and the first product are freed
+    # as soon as they are used: two float64 maps live at a time
+    y = (_lowpass_matrix(mode, h) @ x.astype(np.float64)) @ _lowpass_matrix(mode, w).T
     return y.astype(np.float32)
 
 

@@ -90,7 +90,7 @@ def phi_upsample(z: np.ndarray, space: str, spec: AutoencoderSpec) -> np.ndarray
     excess high-frequency content.
     """
     if space == "latent":
-        return upsample(z, 2, "nearest")
+        return upsample(z, "nearest")
     if space == "rgb":
-        return encode(upsample(decode(z, spec), 2, "bilinear"), spec)
+        return encode(upsample(decode(z, spec), "bilinear"), spec)
     raise ValueError(f"unknown upsampling space {space!r}")

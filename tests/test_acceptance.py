@@ -84,7 +84,7 @@ def test_criterion_02_dilation_commutation():
     for _ in range(100):
         h = rng.standard_normal((1, 2, 12, 12)).astype(np.float32)
         k = Kernel2D(rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2))
-        fine = conv2d(upsample(h, 2, "nearest"), k, 2)
+        fine = conv2d(upsample(h, "nearest"), k, 2)
         coarse = conv2d(h, k, 1)
         dev = np.max(np.abs(fine[:, :, 2:22:2, 2:22:2] - coarse[:, :, 1:11, 1:11]))
         max_dev = max(max_dev, float(dev))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from freescale import tensor_ops
-from freescale.oracle import reference_conv2d
+from freescale.oracle import reference_conv2d, reference_lowpass
 from freescale.tensor_ops import (
+    BLUR_MODES,
     Kernel2D,
     conv2d,
     gaussian_taps,
@@ -108,7 +109,7 @@ class TestConv2d:
         for _ in range(5):
             h = RNG.standard_normal((1, 2, 12, 12)).astype(np.float32)
             k = Kernel2D(RNG.standard_normal((2, 2, 3, 3)), np.zeros(2))
-            fine = conv2d(upsample(h, 2, "nearest"), k, 2)
+            fine = conv2d(upsample(h, "nearest"), k, 2)
             coarse = conv2d(h, k, 1)
             np.testing.assert_allclose(
                 fine[:, :, 2:22:2, 2:22:2], coarse[:, :, 1:11, 1:11], atol=1e-5
@@ -128,31 +129,22 @@ class TestConv2d:
 
 
 class TestUpsample:
-    def test_factor_one_identity(self):
-        x = RNG.standard_normal((1, 2, 3, 3)).astype(np.float32)
-        np.testing.assert_array_equal(upsample(x, 1, "nearest"), x)
-        np.testing.assert_array_equal(upsample(x, 1, "bilinear"), x)
-
     def test_nearest_replication(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)[None, None]
         expected = np.array(
             [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], np.float32
         )
-        np.testing.assert_array_equal(upsample(x, 2, "nearest")[0, 0], expected)
+        np.testing.assert_array_equal(upsample(x, "nearest")[0, 0], expected)
 
     def test_bilinear_constant(self):
         x = np.full((1, 1, 3, 3), 2.5, np.float32)
-        np.testing.assert_allclose(upsample(x, 2, "bilinear"), 2.5, atol=1e-6)
+        np.testing.assert_allclose(upsample(x, "bilinear"), 2.5, atol=1e-6)
 
     def test_bilinear_sample_centers(self):
         # align-corners-false: interior samples interpolate at quarter points
         x = np.array([[0.0, 1.0]], np.float32)[None, None]
-        out = upsample(x, 2, "bilinear")[0, 0, 0]
+        out = upsample(x, "bilinear")[0, 0, 0]
         np.testing.assert_allclose(out, [0.0, 0.25, 0.75, 1.0], atol=1e-6)
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError, match="factor"):
-            upsample(np.zeros((1, 1, 2, 2)), 0)
 
 
 class TestLowpass:
@@ -191,6 +183,33 @@ class TestLowpass:
         x = np.full((1, 1, 10, 10), -1.75, np.float32)
         out = lowpass(x, "gaussian")
         assert abs(float(out.mean()) - float(x.mean())) < 1e-5
+
+    # sides 1-3 are shorter than the Gaussian's radius plus one, so its
+    # padding falls back from reflect to symmetric; side 4, the smallest
+    # fused map, gives the ideal filter weights of exactly +-1/4 and 3/4
+    @pytest.mark.parametrize(
+        "hw", [(1, 1), (2, 2), (3, 3), (4, 4), (7, 11), (32, 32), (128, 128)]
+    )
+    @pytest.mark.parametrize("mode", BLUR_MODES)
+    def test_bitwise_equal_to_reference(self, mode, hw):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((1, 2, *hw)).astype(np.float32)
+        got, ref = lowpass(x, mode), reference_lowpass(x, mode)
+        if mode == "ideal_lowpass" and hw == (3, 3):
+            # the ideal filter of side 3 keeps only the mean, and the mean of
+            # float32 values can lie on a float32 rounding midpoint: the
+            # reference sums exactly and divides once, the matrix adds
+            # rounded thirds, so the two may round to neighbours
+            np.testing.assert_array_max_ulp(got, ref, maxulp=1)
+        else:
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("mode", BLUR_MODES)
+    def test_peak_memory(self, mode):
+        # transforming or padding whole maps traced 10.6x (gaussian) and 18.5x
+        # (ideal_lowpass) the map's bytes on this shape
+        x = RNG.standard_normal((2, 32, 32, 32)).astype(np.float32)
+        assert traced_peak(lambda: lowpass(x, mode)) <= 5 * x.nbytes
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -77,7 +77,7 @@ class TestPhiUpsample:
         spec = make_autoencoder(patch=2, seed=2)
         z = RNG.standard_normal((1, 12, 4, 4)).astype(np.float32)
         got = phi_upsample(z, "rgb", spec)
-        expected = encode(upsample(decode(z, spec), 2, "bilinear"), spec)
+        expected = encode(upsample(decode(z, spec), "bilinear"), spec)
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
     def test_rgb_and_latent_paths_differ(self):
