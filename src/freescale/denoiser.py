@@ -10,8 +10,7 @@ seeded generator so identical seeds give bit-identical parameters.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,74 +53,82 @@ def group_dilation(factor: int, step: int, total: int) -> dict:
     return {"down": d, "mid": d, "up": 1}
 
 
+@dataclass(frozen=True)
+class Block:
+    """One UNet block: conv_a, conv_b and the time-embedding projection
+    emb, a (weight [emb_dim, out], bias [out]) pair."""
+
+    conv_a: Kernel2D
+    conv_b: Kernel2D
+    emb: tuple
+
+
+@dataclass(frozen=True)
 class WeightSet:
-    """Immutable named parameter collection for one UNetConfig."""
+    """The frozen UNet's layers, built once by init_weights. temb holds the
+    two (weight, bias) pairs of the embedding MLP; down and up list their
+    blocks in the order the forward runs them."""
 
-    def __init__(self, config: UNetConfig, params: "OrderedDict[str, np.ndarray]"):
-        self.config = config
-        self.params = OrderedDict((k, as_f32(v)) for k, v in params.items())
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.params[name]
-
-    def kernel(self, name: str) -> Kernel2D:
-        return Kernel2D(self.params[f"{name}.w"], self.params[f"{name}.b"])
+    config: UNetConfig
+    temb: tuple
+    stem: Kernel2D
+    down: tuple
+    mid: Block
+    attn: AttentionWeights
+    up: tuple
+    head: Kernel2D
 
     def checksum(self) -> str:
+        """sha256 of every parameter's float32 bytes, in draw order."""
         h = hashlib.sha256()
-        for name, arr in self.params.items():
-            h.update(name.encode("utf-8"))
+        layers = (self.temb, self.stem, self.down, self.mid, self.attn, self.up, self.head)
+        for arr in _arrays(layers):
             h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         return h.hexdigest()
 
 
-def _layer_specs(config: UNetConfig):
-    """Yield (name, shape, fan_in) for every parameter tensor, in a fixed
-    order so seeded initialization is reproducible."""
-    w = config.widths
-    emb = config.time_embedding_dim
-    specs = []
-
-    def conv(name, out_c, in_c):
-        specs.append((f"{name}.w", (out_c, in_c, 3, 3), in_c * 9))
-        specs.append((f"{name}.b", (out_c,), None))
-
-    def dense(name, in_d, out_d):
-        specs.append((f"{name}.w", (in_d, out_d), in_d))
-        specs.append((f"{name}.b", (out_d,), None))
-
-    dense("temb.fc1", emb + config.cond_dim, emb)
-    dense("temb.fc2", emb, emb)
-    conv("stem", w[0], config.latent_channels)
-    for i in range(DOWN_BLOCKS):
-        conv(f"down{i}.conv_a", w[i + 1], w[i])
-        conv(f"down{i}.conv_b", w[i + 1], w[i + 1])
-        dense(f"down{i}.emb", emb, w[i + 1])
-    conv("mid.conv_a", w[-1], w[-1])
-    conv("mid.conv_b", w[-1], w[-1])
-    dense("mid.emb", emb, w[-1])
-    for name in ("w_q", "w_k", "w_v", "w_o"):
-        specs.append((f"mid.attn.{name}", (w[-1], w[-1]), w[-1]))
-    for i in reversed(range(DOWN_BLOCKS)):
-        conv(f"up{i}.conv_a", w[i], 2 * w[i + 1])
-        conv(f"up{i}.conv_b", w[i], w[i])
-        dense(f"up{i}.emb", emb, w[i])
-    conv("head", config.latent_channels, w[0])
-    return specs
+def _arrays(node):
+    """Yield the arrays under node (an array, a tuple or a layer dataclass)
+    in field order."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _arrays(item)
+    else:
+        for f in fields(node):
+            yield from _arrays(getattr(node, f.name))
 
 
 def init_weights(config: UNetConfig, seed: int) -> WeightSet:
     """Kaiming-style fan-in initialization (std = sqrt(2/fan_in)) from a
-    seeded generator; biases start at zero."""
+    seeded generator; biases start at zero. The draws run in a fixed order
+    (temb, stem, down blocks, mid, q/k/v/o, up blocks, head), so identical
+    seeds give bit-identical parameters."""
     rng = np.random.default_rng(seed)
-    params: OrderedDict[str, np.ndarray] = OrderedDict()
-    for name, shape, fan_in in _layer_specs(config):
-        if fan_in is None:
-            params[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            std = np.sqrt(2.0 / fan_in)
-            params[name] = (rng.standard_normal(shape) * std).astype(np.float32)
-    return WeightSet(config, params)
+    w = config.widths
+    emb = config.time_embedding_dim
+
+    def draw(shape, fan_in):
+        return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
+
+    def dense(in_d, out_d):
+        return draw((in_d, out_d), in_d), np.zeros(out_d, dtype=np.float32)
+
+    def conv(out_c, in_c):
+        return Kernel2D(draw((out_c, in_c, 3, 3), in_c * 9), np.zeros(out_c, dtype=np.float32))
+
+    def block(out_c, in_c):  # arguments run left to right: conv_a, conv_b, emb
+        return Block(conv(out_c, in_c), conv(out_c, out_c), dense(emb, out_c))
+
+    temb = (dense(emb + config.cond_dim, emb), dense(emb, emb))
+    stem = conv(w[0], config.latent_channels)
+    down = tuple(block(w[i + 1], w[i]) for i in range(DOWN_BLOCKS))
+    mid = block(w[-1], w[-1])
+    attn = AttentionWeights(*[draw((w[-1], w[-1]), w[-1]) for _ in range(4)])
+    up = tuple(block(w[i], 2 * w[i + 1]) for i in reversed(range(DOWN_BLOCKS)))
+    head = conv(config.latent_channels, w[0])
+    return WeightSet(config, temb, stem, down, mid, attn, up, head)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -177,12 +184,12 @@ def _avg_pool2(h: np.ndarray) -> np.ndarray:
     return pooled.astype(np.float32)
 
 
-def _conv_block(h, e, weights: WeightSet, name: str, dilation: int) -> np.ndarray:
+def _conv_block(h, e, block: Block, dilation: int) -> np.ndarray:
     """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU.
     The norm overwrites h, so callers pass a map they do not keep."""
-    h = _silu(conv2d(_channel_norm(h), weights.kernel(f"{name}.conv_a"), dilation))
-    h = h + linear(e, weights[f"{name}.emb.w"], weights[f"{name}.emb.b"])[:, :, None, None]
-    return _silu(conv2d(h, weights.kernel(f"{name}.conv_b"), dilation))
+    h = _silu(conv2d(_channel_norm(h), block.conv_a, dilation))
+    h = h + linear(e, *block.emb)[:, :, None, None]
+    return _silu(conv2d(h, block.conv_b, dilation))
 
 
 def predict_noise(
@@ -221,34 +228,28 @@ def predict_noise(
 
     emb = _time_embedding(t, cfg.time_embedding_dim)
     e = np.concatenate([np.tile(emb, (len(cond), 1)), cond], axis=1)
-    e = _silu(linear(e, weights["temb.fc1.w"], weights["temb.fc1.b"]))
-    e = linear(e, weights["temb.fc2.w"], weights["temb.fc2.b"])
+    fc1, fc2 = weights.temb
+    e = linear(_silu(linear(e, *fc1)), *fc2)
 
-    h = conv2d(z_t, weights.kernel("stem"), 1)
+    h = conv2d(z_t, weights.stem, 1)
     skips = []
-    for i in range(DOWN_BLOCKS):
-        h = _conv_block(h, e, weights, f"down{i}", dilation.get("down", 1))
+    for block in weights.down:
+        h = _conv_block(h, e, block, dilation.get("down", 1))
         skips.append(h)
         h = _avg_pool2(h)
 
-    h = _conv_block(h, e, weights, "mid", dilation.get("mid", 1))
-    attn_w = AttentionWeights(
-        weights["mid.attn.w_q"],
-        weights["mid.attn.w_k"],
-        weights["mid.attn.w_v"],
-        weights["mid.attn.w_o"],
-    )
+    h = _conv_block(h, e, weights.mid, dilation.get("mid", 1))
     if fusion is not None:
         grid = fusion.grid_for(h.shape[2], h.shape[3])
-        h += fused_attention(h, attn_w, grid, fusion.blur)
+        h += fused_attention(h, weights.attn, grid, fusion.blur)
     else:
-        h += self_attention(h, attn_w)
+        h += self_attention(h, weights.attn)
 
-    for i in reversed(range(DOWN_BLOCKS)):
+    for block in weights.up:
         h = np.concatenate([upsample(h, "nearest"), skips.pop()], axis=1)
-        h = _conv_block(h, e, weights, f"up{i}", dilation.get("up", 1))
+        h = _conv_block(h, e, block, dilation.get("up", 1))
 
-    return conv2d(_channel_norm(h), weights.kernel("head"), 1)
+    return conv2d(_channel_norm(h), weights.head, 1)
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, scale: float) -> np.ndarray:

@@ -11,6 +11,7 @@ import json
 import time
 from dataclasses import dataclass
 from math import isfinite
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .denoiser import (
 )
 from .scheduler import (
     MIN_ALPHA,
+    TOTAL_TIMESTEPS,
     DetailControl,
     NoiseSchedule,
     ddim_step,
@@ -68,7 +70,7 @@ class CascadeConfig:
 
     prompt: str = ""
     levels: tuple = (1, 2, 4)
-    total_timesteps: int = 1000
+    total_timesteps: ClassVar[int] = TOTAL_TIMESTEPS  # a constant of the model, no key
     steps: int = 50
     injection_step: int = 700
     guidance_scale: float = 7.5
@@ -99,8 +101,8 @@ class CascadeConfig:
         if not levels or levels != tuple(2**i for i in range(len(levels))):
             raise ConfigError(f"levels must be 1, 2, 4, ... (each the double of the last), "
                               f"got {list(levels)}")
-        if not (1 <= self.injection_step <= self.total_timesteps):
-            raise ConfigError("injection_step must lie in [1, total_timesteps]")
+        if not (1 <= self.injection_step <= TOTAL_TIMESTEPS):
+            raise ConfigError(f"injection_step must lie in [1, {TOTAL_TIMESTEPS}]")
         if self.upsample_space not in ("rgb", "latent"):
             raise ConfigError("upsample_space must be 'rgb' or 'latent'")
         if self.blur_mode not in BLUR_MODES:
@@ -115,8 +117,8 @@ class CascadeConfig:
             raise ConfigError("seed must be non-negative")
         if self.vae_patch < 1:
             raise ConfigError("vae_patch must be >= 1")
-        if not (1 <= self.steps <= self.total_timesteps):
-            raise ConfigError("steps must lie in [1, total_timesteps]")
+        if not (1 <= self.steps <= TOTAL_TIMESTEPS):
+            raise ConfigError(f"steps must lie in [1, {TOTAL_TIMESTEPS}]")
         try:
             self.unet_config()
         except ValueError as e:
@@ -138,7 +140,7 @@ class CascadeConfig:
                     f"{fusion.window} does not tile the {side}x{side} mid map of level {level} ({e})"
                 ) from e
         # above the smallest DDIM timestep the cascade levels run no step at all
-        last = self.total_timesteps - (self.total_timesteps // self.steps) * (self.steps - 1)
+        last = TOTAL_TIMESTEPS - (TOTAL_TIMESTEPS // self.steps) * (self.steps - 1)
         if len(levels) > 1 and last > self.injection_step:
             raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
 
@@ -170,15 +172,6 @@ class CascadeConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**raw)
-
-
-def _schedule(config: CascadeConfig) -> NoiseSchedule:
-    """The config's noise schedule; one too long to allocate is a config
-    error, found when a run starts rather than when the config is built."""
-    try:
-        return make_schedule(config.total_timesteps, config.steps)
-    except MemoryError as e:
-        raise ConfigError(f"total_timesteps {config.total_timesteps}: {e}") from e
 
 
 def nearest_resize(map2d: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -311,7 +304,7 @@ def latent_to_image(z0: np.ndarray, vae_spec: AutoencoderSpec) -> np.ndarray:
 
 def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
     """Execute the full cascade; returns {"image", "latent", "manifest"}."""
-    sched = _schedule(config)
+    sched = make_schedule(TOTAL_TIMESTEPS, config.steps)
     weights = init_weights(config.unet_config(), config.seed)
     vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
 
@@ -348,6 +341,6 @@ def _level_record(level: int, z0: np.ndarray, t_start: float) -> dict:
 def direct_generate(config: CascadeConfig, level: int) -> np.ndarray:
     """Plain DDIM inference directly at the given resolution level (the
     benchmarking baseline; no cascade machinery)."""
-    sched = _schedule(config)
+    sched = make_schedule(TOTAL_TIMESTEPS, config.steps)
     weights = init_weights(config.unet_config(), config.seed)
     return _plain_ddim(config, weights, sched, level, 1000 + level)

@@ -11,6 +11,10 @@ import numpy as np
 
 from .tensor_ops import as_f32
 
+# Length of the diffusion the frozen model was trained on; the fixed betas
+# below span it.
+TOTAL_TIMESTEPS = 1000
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:

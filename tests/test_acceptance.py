@@ -17,7 +17,8 @@ from freescale.attention import PatchGrid, reconstruct_average, scale_fusion, sh
 from freescale.denoiser import cfg_combine, init_weights, predict_noise, prompt_embedding
 from freescale.pipeline import CascadeConfig, cascade_level, direct_generate, generate_base, run
 from freescale.scheduler import ddim_step, decay_factor, forward_noise, make_schedule
-from freescale.tensor_ops import Kernel2D, conv2d, lowpass, upsample
+from freescale.oracle import reference_lowpass
+from freescale.tensor_ops import Kernel2D, conv2d, upsample
 from freescale.vae import make_autoencoder, phi_upsample
 
 
@@ -69,8 +70,10 @@ def test_criterion_01_fusion_projection():
         g = rng.standard_normal((1, 4, 32, 32)).astype(np.float32)
         l = rng.standard_normal((1, 4, 32, 32)).astype(np.float32)
         fused = scale_fusion(g, l, blur)
-        low_dev = np.max(np.abs(lowpass(fused, blur) - lowpass(l, blur)))
-        high_dev = np.max(np.abs((fused - lowpass(fused, blur)) - (g - lowpass(g, blur))))
+        low_dev = np.max(np.abs(reference_lowpass(fused, blur) - reference_lowpass(l, blur)))
+        high_dev = np.max(
+            np.abs((fused - reference_lowpass(fused, blur)) - (g - reference_lowpass(g, blur)))
+        )
         max_dev = max(max_dev, float(low_dev), float(high_dev))
     assert max_dev < 1e-5, max_dev
     assert time.perf_counter() - start < 10.0

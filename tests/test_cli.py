@@ -197,7 +197,7 @@ class TestConfigErrors:
             {"upsample_space": "pixel"},
             {"prompt": "\ud800"},
             {"base_latent_size": 20},  # window 5 does not tile the 10x10 level-2 mid map
-            {"total_timesteps": 10**15},  # a schedule of 8 PB fails to allocate at once
+            {"steps": 1001},  # more steps than the model's 1000 timesteps
         ],
     )
     @pytest.mark.parametrize("command", ["generate", "bench"])
@@ -216,7 +216,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "key",
         ["blur_sigma", "blur_cutoff", "dilation_stop_fraction", "down_blocks",
-         "latent_upsample_mode"],
+         "latent_upsample_mode", "total_timesteps"],
     )
     def test_removed_key_exits_2(self, tmp_path, capsys, key):
         with pytest.raises(ConfigError, match=f"^unknown config keys: {key}$"):

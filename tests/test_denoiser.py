@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freescale import denoiser, tensor_ops
-from freescale.attention import FusionConfig
+from freescale.attention import AttentionWeights, FusionConfig
 from freescale.denoiser import (
     UNetConfig,
     _avg_pool2,
@@ -16,6 +16,7 @@ from freescale.denoiser import (
     predict_noise,
     prompt_embedding,
 )
+from freescale.tensor_ops import Kernel2D
 from test_tensor_ops import traced_peak
 
 SMALL = UNetConfig(latent_channels=3, base_width=8, time_embedding_dim=16, cond_dim=8)
@@ -35,21 +36,28 @@ class TestInitWeights:
     def test_seed_sensitivity(self):
         assert init_weights(SMALL, 3).checksum() != init_weights(SMALL, 4).checksum()
 
+    def test_checksum_pinned(self):
+        # the 42 arrays of the parent tree, hashed in draw order
+        assert init_weights(UNetConfig(3, 8, 16, 8), 3).checksum() == (
+            "733d2ca203f4ecf5f1ec0bf715a81a09dc95af47024d0fb75b22a8d2fa27ebf5"
+        )
+
     def test_fan_in_variance(self):
         cfg = UNetConfig(latent_channels=4, base_width=32, time_embedding_dim=64, cond_dim=32)
         ws = init_weights(cfg, 0)
-        fan_ins = {
-            name: shape[1] * 9 if len(shape) == 4 else shape[0]
-            for name, arr in ws.params.items()
-            for shape in [arr.shape]
-            if name.endswith(".w") or ".attn." in name
-        }
+        blocks = (*ws.down, ws.mid, *ws.up)
+        kernels = [ws.stem, ws.head, *(k for b in blocks for k in (b.conv_a, b.conv_b))]
+        dense = [w for w, _ in ws.temb] + [b.emb[0] for b in blocks]
+        attn = [ws.attn.w_q, ws.attn.w_k, ws.attn.w_v, ws.attn.w_o]
+        # a conv weight [o, c, 3, 3] has fan-in 9c, a dense weight [in, out] in
+        mats = [(k.weights, k.weights.shape[1] * 9) for k in kernels]
+        mats += [(w, w.shape[0]) for w in dense + attn]
         checked = 0
-        for name, arr in ws.params.items():
-            if name not in fan_ins or arr.size < 1024:
+        for arr, fan_in in mats:
+            if arr.size < 1024:
                 continue
-            target = 2.0 / fan_ins[name]
-            assert abs(float(arr.var()) - target) < 0.2 * target, name
+            target = 2.0 / fan_in
+            assert abs(float(arr.var()) - target) < 0.2 * target, arr.shape
             checked += 1
         assert checked >= 5
 
@@ -127,6 +135,18 @@ class TestPredictNoise:
                 predict_noise(z, 10, bad, ws)
         with pytest.raises(ValueError, match="one NCHW latent"):
             predict_noise(np.concatenate([z, z]), 10, np.concatenate([cond, cond]), ws)
+
+    def test_forward_builds_no_layers(self, monkeypatch):
+        # the layers are built once by init_weights, not wrapped per forward
+        ws = init_weights(SMALL, 1)
+        built = []
+        for cls in (Kernel2D, AttentionWeights):
+            init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, init=init: built.append(type(self)) or init(self))
+        z, cond = small_inputs()
+        predict_noise(z, 500, cond, ws, fusion=FusionConfig(window=2, blur="gaussian"))
+        assert built == []
 
 
 class TestBatchRows:
