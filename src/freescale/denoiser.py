@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .attention import AttentionWeights, FusionConfig, fused_attention, self_attention
-from .tensor_ops import Kernel2D, as_f32, conv2d, linear, tile_rows, upsample
+from .tensor_ops import Kernel2D, as_f32, conv2d, linear, tile_rows
 
 
 # The UNet's depth: two stride-2 down blocks and their mirrored up blocks.
@@ -132,13 +132,15 @@ def init_weights(config: UNetConfig, seed: int) -> WeightSet:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    # sigmoid via tanh avoids overflow for large negative inputs; the same
-    # float32 products as x * 0.5 * (1 + tanh(0.5 * x)), in two buffers
-    half = x * 0.5
-    t = np.tanh(half)
+    """SiLU in place: overwrites the float32 map x, which is returned, so
+    callers pass a fresh conv2d or linear output. Sigmoid via tanh avoids
+    overflow for large negative inputs; the same float32 products as
+    x * 0.5 * (1 + tanh(0.5 * x)), with one temporary."""
+    x *= 0.5
+    t = np.tanh(x)
     t += 1.0
-    half *= t
-    return half
+    x *= t
+    return x
 
 
 def _channel_norm(h: np.ndarray) -> np.ndarray:
@@ -184,9 +186,28 @@ def _avg_pool2(h: np.ndarray) -> np.ndarray:
     return pooled.astype(np.float32)
 
 
+def _up_input(h: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """concatenate([upsample(h, "nearest"), skip], axis=1), written once into
+    one buffer: h fills both rows of each 2x2 cell at its left column, then
+    at its right one, and the skip is copied behind. (Copying the left
+    column to the right one would make numpy buffer the source, because
+    the two interleave in one array.)"""
+    n, c, hh, ww = h.shape
+    channels = c + skip.shape[1]
+    out = np.empty((n, channels, 2 * hh, 2 * ww), np.float32)
+    cells = out.reshape(n, channels, hh, 2, ww, 2)[:, :c]  # a view: out is contiguous
+    rows = h[:, :, :, None, :]
+    cells[..., 0] = rows
+    cells[..., 1] = rows
+    out[:, c:] = skip
+    return out
+
+
 def _conv_block(h, e, block: Block, dilation: int) -> np.ndarray:
     """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU.
-    The norm overwrites h, so callers pass a map they do not keep."""
+    The norm overwrites the input map h, so callers pass a map they do not
+    keep; one passed straight in, held by no caller, is freed once conv_a
+    has read it. The embedding rows e are only read."""
     h = _silu(conv2d(_channel_norm(h), block.conv_a, dilation))
     h = h + linear(e, *block.emb)[:, :, None, None]
     return _silu(conv2d(h, block.conv_b, dilation))
@@ -246,8 +267,7 @@ def predict_noise(
         h += self_attention(h, weights.attn)
 
     for block in weights.up:
-        h = np.concatenate([upsample(h, "nearest"), skips.pop()], axis=1)
-        h = _conv_block(h, e, block, dilation.get("up", 1))
+        h = _conv_block(_up_input(h, skips.pop()), e, block, dilation.get("up", 1))
 
     return conv2d(_channel_norm(h), weights.head, 1)
 

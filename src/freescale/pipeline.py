@@ -5,6 +5,7 @@ attention, and region-aware detail control.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -184,6 +185,23 @@ def nearest_resize(map2d: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return map2d[np.ix_(rows, cols)]
 
 
+@contextlib.contextmanager
+def _allocating(what: str):
+    """A config whose arrays this host cannot allocate is a config error
+    naming their sizes: numpy raises MemoryError for a request the system
+    refuses and ValueError for one past its largest array."""
+    try:
+        yield
+    except (MemoryError, ValueError) as e:
+        raise ConfigError(f"cannot allocate {what}: {e}") from e
+
+
+def _weights(config: CascadeConfig) -> WeightSet:
+    unet = config.unet_config()
+    with _allocating(f"the UNet weights of {unet}"):
+        return init_weights(unet, config.seed)
+
+
 def _check_finite(z: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(z)):
         raise NumericError(f"non-finite values in {where}")
@@ -228,20 +246,30 @@ def _denoise_loop(
         eps = predict_noise(z, t, conds, weights, dilation, fusion)
         eps = cfg_combine(eps[:1], eps[1:], config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
+        del eps  # the next forward does not hold this step's eps
         if ctrl is not None and t_prev > 0:
-            z_anchor = forward_noise(anchor, t_prev, anchor_noise, sched)
-            z = detail_blend(z_anchor, z, t_prev, ctrl, sched)
+            # the noised anchor lives only inside the blend
+            z = detail_blend(forward_noise(anchor, t_prev, anchor_noise, sched), z,
+                             t_prev, ctrl, sched)
         _check_finite(z, f"latent at timestep {t_prev}")
     return z
+
+
+def _pure_noise(config: CascadeConfig, level: int, stream: int) -> np.ndarray:
+    """The seeded unit-noise latent of one level; stream keys the draw."""
+    rng = np.random.default_rng([config.seed, stream])
+    shape = _latent_shape(config, level)
+    with _allocating(f"the first latent, shape {shape}"):
+        return rng.standard_normal(shape).astype(np.float32)
 
 
 def _plain_ddim(config: CascadeConfig, weights: WeightSet, sched: NoiseSchedule,
                 level: int, stream: int) -> np.ndarray:
     """Seeded DDIM from pure noise at one level (no dilation, no fusion, no
-    blending); stream keys the noise draw."""
-    rng = np.random.default_rng([config.seed, stream])
-    z = rng.standard_normal(_latent_shape(config, level)).astype(np.float32)
-    return _denoise_loop(z, sched.ddim_timesteps, sched, weights, config)
+    blending); stream keys the noise draw. The noise goes straight into the
+    loop, which frees it after the first step."""
+    return _denoise_loop(_pure_noise(config, level, stream), sched.ddim_timesteps, sched,
+                         weights, config)
 
 
 def generate_base(config: CascadeConfig, weights: WeightSet, sched: NoiseSchedule) -> np.ndarray:
@@ -268,17 +296,17 @@ def cascade_level(
     # one noise draw per level: it drives the injection and stays the anchor
     # noise for every blend step, so the anchor trajectory is consistent
     anchor_noise = rng.standard_normal(phi.shape).astype(np.float32)
-    # the latent carries the noise level the sampler's first step assumes
     timesteps = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
-    z = forward_noise(phi, timesteps[0], anchor_noise, sched)
 
     fusion = config.fusion() if config.fusion_enabled else None
     ctrl = None
     if config.blend_enabled:
         ctrl = DetailControl(_alpha_map_for_level(config, level, mask))
 
+    # the latent carries the noise level the sampler's first step assumes; it
+    # goes straight into the loop, so no frame here keeps it past step one
     return _denoise_loop(
-        z,
+        forward_noise(phi, timesteps[0], anchor_noise, sched),
         timesteps,
         sched,
         weights,
@@ -305,8 +333,10 @@ def latent_to_image(z0: np.ndarray, vae_spec: AutoencoderSpec) -> np.ndarray:
 def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
     """Execute the full cascade; returns {"image", "latent", "manifest"}."""
     sched = make_schedule(TOTAL_TIMESTEPS, config.steps)
-    weights = init_weights(config.unet_config(), config.seed)
-    vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
+    weights = _weights(config)
+    dim = 3 * config.vae_patch**2
+    with _allocating(f"the autoencoder basis, {dim}x{dim} for vae_patch {config.vae_patch}"):
+        vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
 
     level_stats = []
     t0 = time.perf_counter()
@@ -342,5 +372,5 @@ def direct_generate(config: CascadeConfig, level: int) -> np.ndarray:
     """Plain DDIM inference directly at the given resolution level (the
     benchmarking baseline; no cascade machinery)."""
     sched = make_schedule(TOTAL_TIMESTEPS, config.steps)
-    weights = init_weights(config.unet_config(), config.seed)
+    weights = _weights(config)
     return _plain_ddim(config, weights, sched, level, 1000 + level)

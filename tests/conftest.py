@@ -1,8 +1,20 @@
+import tracemalloc
+
 import pytest
 
 from freescale.pipeline import CascadeConfig
 
 _acceptance_outcomes = []
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_runtest_logreport(report):

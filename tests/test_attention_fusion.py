@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from freescale import tensor_ops
 from freescale.attention import (
     AttentionWeights,
@@ -14,7 +15,7 @@ from freescale.attention import (
 )
 from freescale.oracle import reference_lowpass
 from freescale.tensor_ops import linear, lowpass
-from test_tensor_ops import reference_softmax_rows, traced_peak
+from test_tensor_ops import reference_softmax_rows
 
 RNG = np.random.default_rng(5)
 

@@ -198,6 +198,9 @@ class TestConfigErrors:
             {"prompt": "\ud800"},
             {"base_latent_size": 20},  # window 5 does not tile the 10x10 level-2 mid map
             {"steps": 1001},  # more steps than the model's 1000 timesteps
+            # too large to allocate on any host, so nothing is allocated:
+            {"vae_patch": 10**6},  # weights of 1.5 PiB, past the 128 TiB address space
+            {"base_latent_size": 4 * 10**8},  # a first latent past numpy's largest array
         ],
     )
     @pytest.mark.parametrize("command", ["generate", "bench"])

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from freescale import denoiser, tensor_ops
 from freescale.attention import AttentionWeights, FusionConfig
 from freescale.denoiser import (
@@ -10,14 +11,14 @@ from freescale.denoiser import (
     _avg_pool2,
     _channel_norm,
     _silu,
+    _up_input,
     cfg_combine,
     group_dilation,
     init_weights,
     predict_noise,
     prompt_embedding,
 )
-from freescale.tensor_ops import Kernel2D
-from test_tensor_ops import traced_peak
+from freescale.tensor_ops import Kernel2D, upsample
 
 SMALL = UNetConfig(latent_channels=3, base_width=8, time_embedding_dim=16, cond_dim=8)
 
@@ -211,8 +212,9 @@ class TestElementwise:
         x = (rng.standard_normal((2, 8, 9, 9)) * 10.0 ** rng.uniform(-8, 4, (2, 8, 9, 9)))
         x = x.astype(np.float32)
         x[0, 0, 0, :4] = [-1e30, 1e30, -0.0, np.float32(2.0**-140)]
-        out = _silu(x)
-        assert out.dtype == np.float32
+        arg = x.copy()  # the SiLU overwrites its input
+        out = _silu(arg)
+        assert out is arg
         assert np.array_equal(out, self.old_silu(x))
 
     # the whole-map float64 square and quotient peaked at 24.3 MiB here
@@ -220,10 +222,33 @@ class TestElementwise:
         h = np.random.default_rng(53).standard_normal((2, 64, 128, 128)).astype(np.float32)
         assert traced_peak(lambda: _channel_norm(h)) <= h.nbytes + 3 * 2**20
 
-    # the old expression held three float32 maps at once
+    # in place, the SiLU allocates one temporary the size of its input;
+    # the out-of-place form held two
     def test_silu_peak_memory(self):
         x = np.random.default_rng(59).standard_normal((2, 64, 128, 128)).astype(np.float32)
-        assert traced_peak(lambda: _silu(x)) <= 2.25 * x.nbytes
+        assert traced_peak(lambda: _silu(x)) <= 1.25 * x.nbytes
+
+
+class TestUpInput:
+    # odd channel counts, one map and a guidance batch of two
+    @pytest.mark.parametrize("n, c, skip_c, hh, ww", [(1, 3, 5, 4, 6), (2, 5, 3, 3, 7),
+                                                      (2, 16, 16, 8, 8)])
+    def test_equals_upsample_and_concatenate(self, n, c, skip_c, hh, ww):
+        rng = np.random.default_rng(61)
+        h = rng.standard_normal((n, c, hh, ww)).astype(np.float32)
+        skip = rng.standard_normal((n, skip_c, 2 * hh, 2 * ww)).astype(np.float32)
+        out = _up_input(h, skip)
+        expected = np.concatenate([upsample(h, "nearest"), skip], axis=1)
+        assert out.dtype == np.float32
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
+
+    # one buffer of the result's size: no upsampled copy and no staging
+    def test_peak_memory(self):
+        rng = np.random.default_rng(67)
+        h = rng.standard_normal((2, 16, 64, 64)).astype(np.float32)
+        skip = rng.standard_normal((2, 16, 128, 128)).astype(np.float32)
+        assert traced_peak(lambda: _up_input(h, skip)) <= 1.01 * 2 * skip.nbytes
 
 
 class TestAvgPool2:

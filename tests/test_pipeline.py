@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from freescale.denoiser import cfg_combine, init_weights, predict_noise, prompt_embedding
 from freescale.pipeline import (
     CascadeConfig,
@@ -265,6 +266,23 @@ class TestMemory:
             tracemalloc.stop()
         for level, peak in peaks.items():
             assert peak <= 32 * latents[level] + 2**20, (level, peak)
+
+    def test_level8_frees_what_it_has_read(self):
+        # the cascade-x8 benchmark config at 4 steps: level 8 peaks at 12.8x
+        # its latent's bytes; holding each up block's inputs, the last
+        # step's eps and noised anchor and the injected latent, it read 17.5x
+        cfg = CascadeConfig(prompt="acceptance scene", levels=(1, 2, 4, 8), steps=4,
+                            base_latent_size=16, vae_patch=2, base_width=8,
+                            time_embedding_dim=32, cond_dim=16, upsample_space="latent",
+                            blur_mode="ideal_lowpass", seed=1)
+        mask = np.random.default_rng(71).random((64, 64)).astype(np.float32)
+        sched, weights, vae_spec = setup_run(cfg)
+        z0 = generate_base(cfg, weights, sched)
+        for level in (2, 4):
+            z0 = cascade_level(z0, level, cfg, weights, vae_spec, sched, mask)
+        peak = traced_peak(lambda: cascade_level(z0, 8, cfg, weights, vae_spec, sched, mask))
+        latent_bytes = 4 * z0.nbytes  # level 8 has four times level 4's pixels
+        assert peak <= 15 * latent_bytes, peak / latent_bytes
 
 
 class TestRun:

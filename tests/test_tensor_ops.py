@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from freescale import tensor_ops
 from freescale.oracle import reference_conv2d, reference_lowpass
 from freescale.tensor_ops import (
@@ -24,16 +23,6 @@ def identity_kernel(channels):
     for c in range(channels):
         w[c, c, 1, 1] = 1.0
     return Kernel2D(w, np.zeros(channels))
-
-
-def traced_peak(fn):
-    """Peak bytes numpy and Python allocate while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestConv2d:
