@@ -194,54 +194,43 @@ def scale_fusion(h_global: np.ndarray, h_local: np.ndarray, mode: str) -> np.nda
     return out.astype(np.float32)
 
 
-def fused_attention(
-    h_in: np.ndarray,
-    weights: AttentionWeights,
-    grid: PatchGrid,
-    mode: str,
-) -> np.ndarray:
+def fused_attention(h_in: np.ndarray, weights: AttentionWeights,
+                    fusion: FusionConfig) -> np.ndarray:
     """Scale-fused self-attention: global attention over the whole map,
-    patch-local attention over the grid's crops reassembled by overlap
-    averaging, fused per band.
+    patch-local attention over the crops of fusion's grid for the map,
+    reassembled by reconstruct_average, fused per band by fusion's filter.
 
     Equal to scale_fusion(self_attention(h), reconstruct_average(
-    self_attention(shifted_crop_sampling(h, grid)), grid), mode), but each
-    token is projected once: a crop's q, k and v are its rows of the map's.
+    self_attention(shifted_crop_sampling(h, grid)), grid), fusion.blur), but
+    each token is projected once: a crop's q, k and v are its rows of the map's.
     """
     h_in = as_f32(h_in)
-    if h_in.ndim != 4 or h_in.shape[2:] != (grid.height, grid.width):
-        raise ValueError(
-            f"feature shape {h_in.shape} does not match grid {grid.height}x{grid.width}"
-        )
-    n, c, hh, ww = h_in.shape
     q, k, v = _project(h_in, weights)
+    n, c, hh, ww = h_in.shape
+    grid = fusion.grid_for(hh, ww)
     h_global = _output(_attend(q, k, v), weights, h_in.shape)
 
     # each crop's token indices into the map, row-major as the crop flattens
     wh, wl = grid.window_h, grid.window_w
-    positions = grid.positions
-    corners = np.array(positions)
+    corners = np.array(grid.positions)
     crops = ((corners[:, :1, None] + np.arange(wh)[:, None]) * ww
              + corners[:, 1:, None] + np.arange(wl)).reshape(grid.count, wh * wl)
     # The patch branch runs a band of grid positions at a time, so only the
-    # band's gathered q, k, v rows and scores exist at once. Bands add into
-    # the float64 overlap sum in grid order: every pixel sums its crops in the
-    # order reconstruct_average takes.
+    # band's gathered q, k, v rows and scores exist at once. Each band writes
+    # its projected crops into one map-major stack, laid out as
+    # shifted_crop_sampling lays out the crops.
     band = tile_rows(grid.count, n * wh * wl * (3 * c + wh * wl) * 8)
-    acc = np.zeros(h_in.shape, dtype=np.float64)
-    cover = np.zeros((hh, ww), dtype=np.float64)
+    local = np.empty((n, grid.count, c, wh, wl), dtype=np.float32)
     for p0 in range(0, grid.count, band):
         idx = crops[p0 : p0 + band]
         crop_qkv = [x[:, idx].reshape(n * len(idx), wh * wl, c) for x in (q, k, v)]
-        local = _attend(*crop_qkv)
+        out = _attend(*crop_qkv)
         del crop_qkv
-        local = _output(local, weights, (n, len(idx), c, wh, wl))
-        for p, (top, left) in enumerate(positions[p0 : p0 + band]):
-            acc[:, :, top : top + wh, left : left + wl] += local[:, p]
-            cover[top : top + wh, left : left + wl] += 1.0
+        local[:, p0 : p0 + len(idx)] = _output(out, weights, (n, len(idx), c, wh, wl))
     del q, k, v
-    acc /= cover
-    return scale_fusion(h_global, acc.astype(np.float32), mode)
+    h_local = reconstruct_average(local.reshape(n * grid.count, c, wh, wl), grid)
+    del local
+    return scale_fusion(h_global, h_local, fusion.blur)
 
 
 @dataclass(frozen=True)

@@ -261,8 +261,7 @@ def predict_noise(
 
     h = _conv_block(h, e, weights.mid, dilation.get("mid", 1))
     if fusion is not None:
-        grid = fusion.grid_for(h.shape[2], h.shape[3])
-        h += fused_attention(h, weights.attn, grid, fusion.blur)
+        h += fused_attention(h, weights.attn, fusion)
     else:
         h += self_attention(h, weights.attn)
 

@@ -88,7 +88,7 @@ def reference_lowpass(x: np.ndarray, mode: str) -> np.ndarray:
     return y.astype(np.float32)
 
 
-def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
+def check_conv(mutate_dilate_up: bool = False) -> CheckResult:
     """Convolution oracle: brute-force agreement, dilation/upsampling
     commutation, and the restrained-dilation policy (up blocks undilated).
     """
@@ -104,7 +104,7 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
         max_dev = max(max_dev, dev)
     # commutation: dilated conv on nearest-upsampled input matches standard
     # conv on the original at interior sampled positions
-    for _ in range(trials):
+    for _ in range(5):
         h = rng.standard_normal((1, 2, 12, 12)).astype(np.float32)
         k = Kernel2D(rng.standard_normal((2, 2, 3, 3)), np.zeros(2))
         fine = conv2d(upsample(h, "nearest"), k, 2)
@@ -129,13 +129,13 @@ def check_conv(mutate_dilate_up: bool = False, trials: int = 5) -> CheckResult:
     return CheckResult("conv", max_dev < 1e-5, max_dev)
 
 
-def check_ddim(trials: int = 20) -> CheckResult:
+def check_ddim() -> CheckResult:
     """Forward-noise then step-to-zero must recover the clean latent."""
     sched = make_schedule(1000, 50)
     rng = np.random.default_rng(13)
     max_dev = 0.0
     for t in (20, 100, 250, 400, 700, 900, 1000):
-        for _ in range(trials):
+        for _ in range(20):
             z0 = rng.standard_normal((1, 4, 16, 16)).astype(np.float32)
             eps = rng.standard_normal(z0.shape).astype(np.float32)
             z_t = forward_noise(z0, t, eps, sched)
@@ -144,7 +144,7 @@ def check_ddim(trials: int = 20) -> CheckResult:
     return CheckResult("ddim", max_dev < 1e-4, max_dev)
 
 
-def check_fusion(fusion_fn=scale_fusion, trials: int = 20) -> CheckResult:
+def check_fusion(fusion_fn=scale_fusion) -> CheckResult:
     """DFT projection oracle: the fused map's low band must match the local
     branch and its high band the global branch, coefficient-wise. The bands
     come from reference_lowpass, not from the low-pass under test.
@@ -153,7 +153,7 @@ def check_fusion(fusion_fn=scale_fusion, trials: int = 20) -> CheckResult:
     band = partial(reference_lowpass, mode=blur)
     rng = np.random.default_rng(29)
     max_dev = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         g = rng.standard_normal((1, 4, 32, 32)).astype(np.float32)
         l = rng.standard_normal((1, 4, 32, 32)).astype(np.float32)
         fused = fusion_fn(g, l, blur)

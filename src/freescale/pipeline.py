@@ -31,7 +31,6 @@ from .denoiser import (
 from .scheduler import (
     MIN_ALPHA,
     TOTAL_TIMESTEPS,
-    DetailControl,
     NoiseSchedule,
     ddim_step,
     detail_blend,
@@ -232,7 +231,7 @@ def _denoise_loop(
     fusion: FusionConfig | None = None,
     anchor: np.ndarray | None = None,
     anchor_noise: np.ndarray | None = None,
-    ctrl: DetailControl | None = None,
+    alpha: np.ndarray | None = None,
 ) -> np.ndarray:
     # both guidance branches run as one batch of two cond rows over the one
     # latent: row 0 unconditional, row 1 conditional
@@ -247,10 +246,10 @@ def _denoise_loop(
         eps = cfg_combine(eps[:1], eps[1:], config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
         del eps  # the next forward does not hold this step's eps
-        if ctrl is not None and t_prev > 0:
+        if alpha is not None and t_prev > 0:
             # the noised anchor lives only inside the blend
             z = detail_blend(forward_noise(anchor, t_prev, anchor_noise, sched), z,
-                             t_prev, ctrl, sched)
+                             t_prev, alpha, sched)
         _check_finite(z, f"latent at timestep {t_prev}")
     return z
 
@@ -299,9 +298,7 @@ def cascade_level(
     timesteps = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
 
     fusion = config.fusion() if config.fusion_enabled else None
-    ctrl = None
-    if config.blend_enabled:
-        ctrl = DetailControl(_alpha_map_for_level(config, level, mask))
+    alpha = _alpha_map_for_level(config, level, mask) if config.blend_enabled else None
 
     # the latent carries the noise level the sampler's first step assumes; it
     # goes straight into the loop, so no frame here keeps it past step one
@@ -315,7 +312,7 @@ def cascade_level(
         fusion=fusion,
         anchor=phi,
         anchor_noise=anchor_noise,
-        ctrl=ctrl,
+        alpha=alpha,
     )
 
 
@@ -331,7 +328,15 @@ def latent_to_image(z0: np.ndarray, vae_spec: AutoencoderSpec) -> np.ndarray:
 
 
 def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
-    """Execute the full cascade; returns {"image", "latent", "manifest"}."""
+    """Execute the full cascade; returns {"image", "latent", "manifest"}.
+    mask, if given, is a 2-D map of detail weights in [0, 1] (0 gives
+    alpha_lo, 1 alpha_hi), resized to each level."""
+    if mask is not None:
+        m = np.asarray(mask)
+        # NaN fails both comparisons, so only finite values pass
+        if m.ndim != 2 or m.size == 0 or not np.all((m >= 0.0) & (m <= 1.0)):
+            raise ConfigError(f"mask must be a non-empty 2-D map with every value in [0, 1], "
+                              f"got shape {m.shape}")
     sched = make_schedule(TOTAL_TIMESTEPS, config.steps)
     weights = _weights(config)
     dim = 3 * config.vae_patch**2

@@ -96,21 +96,8 @@ def ddim_step(
     return z.astype(np.float32)
 
 
-# smallest detail exponent accepted (by DetailControl and config validation)
+# smallest detail exponent accepted (by detail_blend and config validation)
 MIN_ALPHA = 1e-3
-
-
-@dataclass(frozen=True)
-class DetailControl:
-    """Spatial map of detail exponents; scalar allowed, entries must be >= MIN_ALPHA."""
-
-    alpha_map: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha_map, dtype=np.float64)
-        if a.size == 0 or np.any(a < MIN_ALPHA):
-            raise ValueError(f"alpha entries must be >= {MIN_ALPHA}")
-        object.__setattr__(self, "alpha_map", a)
 
 
 def decay_factor(t: int, total_steps: int, alpha) -> np.ndarray:
@@ -127,17 +114,22 @@ def detail_blend(
     anchor: np.ndarray,
     current: np.ndarray,
     t: int,
-    ctrl: DetailControl,
+    alpha,
     sched: NoiseSchedule,
 ) -> np.ndarray:
     """Blend the trajectory latent toward the noised upsampled anchor:
-    c * anchor + (1 - c) * current, with c from decay_factor.
+    c * anchor + (1 - c) * current, with c from decay_factor. alpha is a
+    scalar or a map of detail exponents that broadcasts to the latent;
+    every entry must be >= MIN_ALPHA.
     """
     anchor = as_f32(anchor)
     current = as_f32(current)
     if anchor.shape != current.shape:
         raise ValueError("anchor and current shapes must agree")
-    c = decay_factor(t, sched.total_steps, ctrl.alpha_map)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.size == 0 or not np.all(alpha >= MIN_ALPHA):
+        raise ValueError(f"alpha entries must be >= {MIN_ALPHA}")
+    c = decay_factor(t, sched.total_steps, alpha)
     c = np.broadcast_to(c, anchor.shape)
     out = c * anchor.astype(np.float64) + (1.0 - c) * current.astype(np.float64)
     return out.astype(np.float32)

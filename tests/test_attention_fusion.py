@@ -268,26 +268,32 @@ class TestFusedAttention:
     def test_single_patch_equals_global(self):
         w = random_weights(4)
         x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        grid = PatchGrid(8, 8, 8, 8, 8, 8)
-        out = fused_attention(x, w, grid, "gaussian")
+        out = fused_attention(x, w, FusionConfig(8, "gaussian"))
         np.testing.assert_allclose(out, self_attention(x, w), atol=1e-5)
+
+    def test_map_the_window_does_not_tile_rejected(self):
+        w = random_weights(4)
+        for hw, window in ((4, 8), (9, 4)):
+            x = RNG.standard_normal((1, 4, hw, hw)).astype(np.float32)
+            with pytest.raises(ValueError, match="window must fit|not divisible"):
+                fused_attention(x, w, FusionConfig(window, "gaussian"))
 
     def test_constant_input_zero_qk(self):
         dim = 3
         zeros = np.zeros((dim, dim), np.float32)
         w = AttentionWeights(zeros, zeros, RNG.standard_normal((dim, dim)), np.eye(dim))
         x = np.full((1, dim, 8, 8), 1.5, np.float32)
-        grid = PatchGrid(8, 8, 4, 4, 2, 2)
-        out = fused_attention(x, w, grid, "gaussian")
+        out = fused_attention(x, w, FusionConfig(4, "gaussian"))
         expected = self_attention(x, w)
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
     def test_composition_oracle(self):
         w = random_weights(8)
         x = RNG.standard_normal((1, 8, 16, 16)).astype(np.float32)
-        grid = PatchGrid(16, 16, 8, 8, 8, 8)  # 2x2 patches
-        blur = "gaussian"
-        got = fused_attention(x, w, grid, blur)
+        fusion = FusionConfig(8, "gaussian")
+        grid = fusion.grid_for(16, 16)  # 3x3 patches at stride 4
+        blur = fusion.blur
+        got = fused_attention(x, w, fusion)
         h_global = self_attention(x, w)
         patches = [x[:, :, t : t + 8, l : l + 8] for t, l in grid.positions]
         h_local = reconstruct_average(
@@ -306,7 +312,8 @@ class TestFusedAttention:
         n, c = shape[:2]
         w = scaled_weights(rng, c, 0.3)
         x = rng.standard_normal(shape).astype(np.float32)
-        grid = FusionConfig(window, blur).grid_for(*shape[2:])
+        fusion = FusionConfig(window, blur)
+        grid = fusion.grid_for(*shape[2:])
         expected = scale_fusion(
             self_attention(x, w),
             reconstruct_average(self_attention(shifted_crop_sampling(x, grid), w), grid),
@@ -316,7 +323,7 @@ class TestFusedAttention:
             unit = n * window**2 * (3 * c + window**2) * 8  # one grid position
             monkeypatch.setattr(tensor_ops, "TILE_BYTES", (band + 1) * unit - 1)
             assert tensor_ops.tile_rows(grid.count, unit) == band
-        assert np.array_equal(fused_attention(x, w, grid, blur), expected)
+        assert np.array_equal(fused_attention(x, w, fusion), expected)
 
     def test_peak_memory_level8(self):
         # both guidance rows of the 1024-token level-8 mid map, 225 crops a map;
@@ -326,8 +333,8 @@ class TestFusedAttention:
         rng = np.random.default_rng(67)
         w = scaled_weights(rng, shape[1], 0.3)
         x = rng.standard_normal(shape).astype(np.float32)
-        grid = FusionConfig(window, blur).grid_for(*shape[2:])
-        assert traced_peak(lambda: fused_attention(x, w, grid, blur)) <= 8 * 2**20
+        fusion = FusionConfig(window, blur)
+        assert traced_peak(lambda: fused_attention(x, w, fusion)) <= 8 * 2**20
 
 
 class TestFusionConfig:

@@ -88,6 +88,26 @@ class TestPredictNoise:
         early = predict_noise(z, 100, cond, ws, group_dilation(4, 0, 10))
         assert np.max(np.abs(early - base)) > 1e-6
 
+    def test_restrained_dilation_reaches_each_conv(self, monkeypatch):
+        # stem, the four down-block convs, the two mid convs, the four
+        # up-block convs, head: only the down and mid blocks dilate, and no
+        # conv does in the last 30% of the steps
+        seen = []
+        conv = denoiser.conv2d
+
+        def recording_conv(x, kernel, dilation):
+            seen.append(dilation)
+            return conv(x, kernel, dilation)
+
+        monkeypatch.setattr(denoiser, "conv2d", recording_conv)
+        ws = init_weights(SMALL, 1)
+        z, cond = small_inputs()
+        predict_noise(z, 500, cond, ws, group_dilation(2, 0, 10))
+        assert seen == [1] + [2] * 6 + [1] * 5
+        seen.clear()
+        predict_noise(z, 100, cond, ws, group_dilation(2, 9, 10))
+        assert seen == [1] * 12
+
     def test_dilation_changes_no_parameters(self):
         ws = init_weights(SMALL, 1)
         z, cond = small_inputs()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from freescale import pipeline
 from freescale.denoiser import cfg_combine, init_weights, predict_noise, prompt_embedding
 from freescale.pipeline import (
     CascadeConfig,
@@ -316,6 +317,20 @@ class TestRun:
         with_mask = run(tiny_config, mask=mask)
         without = run(tiny_config)
         assert np.max(np.abs(with_mask["image"] - without["image"])) > 1e-6
+
+    @pytest.mark.parametrize("mask", [
+        np.full((16, 16), 50.0, np.float32),
+        np.full((16, 16), np.nan, np.float32),
+        np.zeros((1, 16, 16), np.float32),
+        np.zeros((0, 4), np.float32),
+    ], ids=["above_one", "nan", "three_d", "empty"])
+    def test_invalid_mask_rejected_before_any_level(self, monkeypatch, tiny_config, mask):
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(pipeline, "generate_base", no_level)
+        with pytest.raises(ConfigError, match=r"mask must be a non-empty 2-D map"):
+            run(tiny_config, mask=mask)
 
     def test_no_nan_over_seeds(self, tiny_config):
         for seed in range(5):

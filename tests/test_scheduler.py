@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from freescale.scheduler import (
-    DetailControl,
     NoiseSchedule,
     ddim_step,
     decay_factor,
@@ -143,22 +142,21 @@ class TestDetailBlend:
         self.current = RNG.standard_normal((1, 2, 4, 4)).astype(np.float32)
 
     def test_boundaries(self):
-        ctrl = DetailControl(np.array(2.0))
-        at_t = detail_blend(self.anchor, self.current, 1000, ctrl, self.sched)
+        alpha = np.array(2.0)
+        at_t = detail_blend(self.anchor, self.current, 1000, alpha, self.sched)
         np.testing.assert_allclose(at_t, self.anchor, atol=1e-6)
-        at_zero = detail_blend(self.anchor, self.current, 0, ctrl, self.sched)
+        at_zero = detail_blend(self.anchor, self.current, 0, alpha, self.sched)
         np.testing.assert_allclose(at_zero, self.current, atol=1e-6)
 
     def test_halfway_hand_value(self):
-        ctrl = DetailControl(np.array(2.0))
-        out = detail_blend(self.anchor, self.current, 500, ctrl, self.sched)
+        out = detail_blend(self.anchor, self.current, 500, np.array(2.0), self.sched)
         expected = 0.25 * self.anchor + 0.75 * self.current
         np.testing.assert_allclose(out, expected, atol=1e-5)
 
     def test_spatial_alpha_map(self):
         alpha = np.full((1, 1, 4, 4), 2.0)
         alpha[0, 0, :2] = 0.5
-        out = detail_blend(self.anchor, self.current, 500, DetailControl(alpha), self.sched)
+        out = detail_blend(self.anchor, self.current, 500, alpha, self.sched)
         c_hi = decay_factor(500, 1000, 0.5)
         c_lo = decay_factor(500, 1000, 2.0)
         expected_top = c_hi * self.anchor[0, :, :2] + (1 - c_hi) * self.current[0, :, :2]
@@ -167,10 +165,11 @@ class TestDetailBlend:
         np.testing.assert_allclose(out[0, :, 2:], expected_bot, atol=1e-5)
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            DetailControl(np.array(0.0))
-        with pytest.raises(ValueError):
-            DetailControl(np.array([1.0, -2.0]))
+        one_negative = np.full((1, 1, 4, 4), 1.0)
+        one_negative[0, 0, 3, 1] = -2.0
+        for alpha in (np.array(0.0), one_negative, np.array(np.nan), np.zeros((1, 1, 0, 4))):
+            with pytest.raises(ValueError, match="alpha entries"):
+                detail_blend(self.anchor, self.current, 500, alpha, self.sched)
 
 
 class TestDecayFactor:
