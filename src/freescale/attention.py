@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor_ops import as_f32, linear, lowpass, softmax_rows, tile_rows
 
@@ -81,64 +82,45 @@ class PatchGrid:
         return [(t, l) for t in tops for l in lefts]
 
 
-def _project(h_in: np.ndarray, weights: AttentionWeights):
-    """Validate an [N,C,H,W] batch and return the q, k and v of its H*W
-    tokens, [N, tokens, C] each: `linear` rounds them to float32 and they
-    are held as float64."""
+def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
+    """Single-head self-attention over the H*W spatial tokens of each map in
+    an [N,C,H,W] batch (the N maps attend independently), followed by the
+    output projection. Position-free by construction.
+    """
     h_in = as_f32(h_in)
     if h_in.ndim != 4:
         raise ValueError(f"expected [N,C,H,W], got shape {h_in.shape}")
     n, c, hh, ww = h_in.shape
     if c != weights.dim:
         raise ValueError(f"channel count {c} != attention dim {weights.dim}")
-    tokens = h_in.reshape(n, c, hh * ww).transpose(0, 2, 1)  # [N, tokens, C]
-    return tuple(linear(tokens, m).astype(np.float64)
-                 for m in (weights.w_q, weights.w_k, weights.w_v))
-
-
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(C)) v for each of the M token sets in [M, T, C]
-    float64 projections; returns the float64 [M, T, C] result."""
-    n, t, c = q.shape
-    k_t = k.transpose(0, 2, 1)
+    t = hh * ww
+    tokens = h_in.reshape(n, c, t).transpose(0, 2, 1)  # [N, tokens, C]
     scale = np.sqrt(float(c))
-    # Tiles hold whole maps, then query rows of a map too big for one tile, so
-    # the scores are [maps, rows, T], never [M, T, T], and each small patch map
-    # is one scores GEMM. Softmax rows are independent and neither GEMM's inner
-    # dimension changes, so every rounding point is where it would be in one
-    # pass. Each buffer is dropped once its rounded copy exists.
-    maps = tile_rows(n, t * t * 8)
+    # Tiles hold whole maps, each with its float64 q, k, v and scores, then
+    # query rows of a map too big for one tile: the scores are [maps, rows, T],
+    # never [N, T, T], and a crop stack is a few large GEMMs. No GEMM's inner
+    # dimension changes, so every rounding point is where one pass puts it.
+    # `scores` is rebound at each rounding, so one copy of it lives at a time.
+    maps = tile_rows(n, t * (t + 3 * c) * 8)
     rows = tile_rows(t, maps * t * 8)
-    out = np.empty((n, t, c), dtype=np.float64)
+    out = np.empty((n, c, t), dtype=np.float32)
     for m0 in range(0, n, maps):
         m1 = min(m0 + maps, n)
+        q, k, v = (linear(tokens[m0:m1], m).astype(np.float64)
+                   for m in (weights.w_q, weights.w_k, weights.w_v))
+        k_t = k.transpose(0, 2, 1)
+        attn = np.empty_like(q)
         for r0 in range(0, t, rows):
             r1 = min(r0 + rows, t)
-            scores = q[m0:m1, r0:r1] @ k_t[m0:m1]
+            scores = q[:, r0:r1] @ k_t
             scores /= scale
             scores = scores.astype(np.float32)
             scores = softmax_rows(scores.reshape((m1 - m0) * (r1 - r0), t))
-            np.matmul(scores.reshape(m1 - m0, r1 - r0, t).astype(np.float64), v[m0:m1],
-                      out=out[m0:m1, r0:r1])
-    return out
-
-
-def _output(out: np.ndarray, weights: AttentionWeights, shape) -> np.ndarray:
-    """Output projection of float64 [N, tokens, C] attention rows, rounded to
-    float32 first, laid out as the [N,C,H,W] maps of `shape`."""
-    out = linear(out.astype(np.float32), weights.w_o)
-    return out.transpose(0, 2, 1).reshape(shape)
-
-
-def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
-    """Single-head self-attention over the H*W spatial tokens of each map in
-    an [N,C,H,W] batch (the N maps attend independently), followed by the
-    output projection. Position-free by construction.
-    """
-    q, k, v = _project(h_in, weights)
-    out = _attend(q, k, v)
-    del q, k, v  # free them before the output projection allocates
-    return _output(out, weights, np.shape(h_in))
+            np.matmul(scores.reshape(m1 - m0, r1 - r0, t).astype(np.float64), v,
+                      out=attn[:, r0:r1])
+        del q, k, v, k_t  # free them before the output projection allocates
+        out[m0:m1] = linear(attn.astype(np.float32), weights.w_o).transpose(0, 2, 1)
+    return out.reshape(h_in.shape)
 
 
 def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> np.ndarray:
@@ -149,10 +131,11 @@ def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> np.ndarray:
         raise ValueError(
             f"feature shape {h_in.shape} does not match grid {grid.height}x{grid.width}"
         )
-    return np.stack(
-        [m[:, top : top + grid.window_h, left : left + grid.window_w]
-         for m in h_in for top, left in grid.positions]
-    )
+    wh, wl = grid.window_h, grid.window_w
+    # one strided view [N, C, rows, cols, h, w] of the crops, copied map-major
+    crops = sliding_window_view(h_in, (wh, wl), axis=(2, 3))
+    crops = crops[:, :, :: grid.stride_h, :: grid.stride_w].transpose(0, 2, 3, 1, 4, 5)
+    return np.ascontiguousarray(crops).reshape(-1, h_in.shape[1], wh, wl)
 
 
 def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
@@ -199,38 +182,14 @@ def fused_attention(h_in: np.ndarray, weights: AttentionWeights,
     """Scale-fused self-attention: global attention over the whole map,
     patch-local attention over the crops of fusion's grid for the map,
     reassembled by reconstruct_average, fused per band by fusion's filter.
-
-    Equal to scale_fusion(self_attention(h), reconstruct_average(
-    self_attention(shifted_crop_sampling(h, grid)), grid), fusion.blur), but
-    each token is projected once: a crop's q, k and v are its rows of the map's.
     """
-    h_in = as_f32(h_in)
-    q, k, v = _project(h_in, weights)
-    n, c, hh, ww = h_in.shape
-    grid = fusion.grid_for(hh, ww)
-    h_global = _output(_attend(q, k, v), weights, h_in.shape)
-
-    # each crop's token indices into the map, row-major as the crop flattens
-    wh, wl = grid.window_h, grid.window_w
-    corners = np.array(grid.positions)
-    crops = ((corners[:, :1, None] + np.arange(wh)[:, None]) * ww
-             + corners[:, 1:, None] + np.arange(wl)).reshape(grid.count, wh * wl)
-    # The patch branch runs a band of grid positions at a time, so only the
-    # band's gathered q, k, v rows and scores exist at once. Each band writes
-    # its projected crops into one map-major stack, laid out as
-    # shifted_crop_sampling lays out the crops.
-    band = tile_rows(grid.count, n * wh * wl * (3 * c + wh * wl) * 8)
-    local = np.empty((n, grid.count, c, wh, wl), dtype=np.float32)
-    for p0 in range(0, grid.count, band):
-        idx = crops[p0 : p0 + band]
-        crop_qkv = [x[:, idx].reshape(n * len(idx), wh * wl, c) for x in (q, k, v)]
-        out = _attend(*crop_qkv)
-        del crop_qkv
-        local[:, p0 : p0 + len(idx)] = _output(out, weights, (n, len(idx), c, wh, wl))
-    del q, k, v
-    h_local = reconstruct_average(local.reshape(n * grid.count, c, wh, wl), grid)
-    del local
-    return scale_fusion(h_global, h_local, fusion.blur)
+    _, _, height, width = np.shape(h_in)
+    grid = fusion.grid_for(height, width)
+    return scale_fusion(
+        self_attention(h_in, weights),
+        reconstruct_average(self_attention(shifted_crop_sampling(h_in, grid), weights), grid),
+        fusion.blur,
+    )
 
 
 @dataclass(frozen=True)

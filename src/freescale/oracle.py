@@ -1,10 +1,10 @@
 """Brute-force and DFT verification suites, runnable from the CLI.
 
 Every check compares the production implementation against an independent
-reference (triple-loop convolution, per-pixel overlap counting, frequency
-projections, hand-evaluated constants). Checks accept injectable callables
-so the CLI can demonstrate mutation sensitivity without touching production
-code paths.
+reference (triple-loop convolution, whole-matrix attention, per-pixel
+overlap counting, frequency projections, hand-evaluated constants). Checks
+accept injectable callables so the CLI can demonstrate mutation sensitivity
+without touching production code paths.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from functools import partial
 
 import numpy as np
 
-from .attention import PatchGrid, reconstruct_average, scale_fusion, shifted_crop_sampling
+from .attention import (AttentionWeights, PatchGrid, reconstruct_average, scale_fusion,
+                        self_attention, shifted_crop_sampling)
 from .denoiser import UNetConfig, group_dilation, init_weights, predict_noise
 from .scheduler import decay_factor, ddim_step, forward_noise, make_schedule
-from .tensor_ops import IDEAL_CUTOFF, Kernel2D, as_f32, conv2d, gaussian_taps, lowpass, upsample
+from .tensor_ops import (BLUR_MODES, IDEAL_CUTOFF, Kernel2D, as_f32, conv2d, gaussian_taps, linear,
+                         lowpass, upsample)
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,31 @@ def reference_lowpass(x: np.ndarray, mode: str) -> np.ndarray:
     else:
         y = _ideal_lowpass(x64)
     return y.astype(np.float32)
+
+
+def reference_softmax_rows(m: np.ndarray) -> np.ndarray:
+    """The pass sequence softmax_rows must round like: float64 copy, max
+    subtraction, exp, division by the row sum, one cast to float32."""
+    z = m.astype(np.float64)
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def reference_self_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
+    """Self-attention over whole [T, T] score matrices, with the rounding
+    points self_attention must keep: float32 q, k, v; float64 scores divided
+    by sqrt(dim), cast to float32; row softmax, cast to float64, @ v; the
+    output projection of the rows rounded to float32."""
+    n, c, hh, ww = x.shape
+    tokens = x.reshape(n, c, hh * ww).transpose(0, 2, 1)
+    q, k, v = (linear(tokens, m) for m in (w.w_q, w.w_k, w.w_v))
+    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1)
+    scores = scores / np.sqrt(float(w.dim))
+    attn = reference_softmax_rows(scores.astype(np.float32).reshape(n * hh * ww, hh * ww))
+    out = attn.reshape(n, hh * ww, hh * ww).astype(np.float64) @ v.astype(np.float64)
+    out = linear(out.astype(np.float32), w.w_o)
+    return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
 
 
 def check_conv(mutate_dilate_up: bool = False) -> CheckResult:
@@ -163,6 +190,26 @@ def check_fusion(fusion_fn=scale_fusion) -> CheckResult:
     return CheckResult("fusion", max_dev < 1e-5, max_dev)
 
 
+def check_attention(attention_fn=self_attention) -> CheckResult:
+    """Self-attention against whole score matrices, on both guidance rows of
+    the level-8 global map and on their 450 4x4 fusion crops, and the fusion
+    low-pass against reference_lowpass in both modes at map sides 4 to 32.
+    Tiles move no rounding point, so each agrees bitwise.
+    """
+    rng = np.random.default_rng(43)
+    w = AttentionWeights(*(rng.standard_normal((32, 32)) * 0.3 for _ in range(4)))
+    max_dev = 0.0
+    for shape in ((2, 32, 32, 32), (450, 32, 4, 4)):
+        x = rng.standard_normal(shape).astype(np.float32)
+        dev = np.max(np.abs(attention_fn(x, w) - reference_self_attention(x, w)))
+        max_dev = max(max_dev, float(dev))
+    for mode, side in itertools.product(BLUR_MODES, (4, 8, 16, 32)):
+        x = rng.standard_normal((2, 8, side, side)).astype(np.float32)
+        dev = np.max(np.abs(lowpass(x, mode) - reference_lowpass(x, mode)))
+        max_dev = max(max_dev, float(dev))
+    return CheckResult("attention", max_dev == 0.0, max_dev)
+
+
 def _reference_overlap_average(patches, grid: PatchGrid) -> np.ndarray:
     total = np.zeros((1, patches.shape[1], grid.height, grid.width), dtype=np.float64)
     count = np.zeros((grid.height, grid.width), dtype=np.float64)
@@ -215,12 +262,18 @@ def _mutated_fusion(g, l, blur):
     ).astype(np.float32)
 
 
+def _unscaled_attention(x, w):
+    # the 1/sqrt(C) score scale dropped: q scaled by sqrt(C) cancels it
+    return self_attention(x, AttentionWeights(w.w_q * np.sqrt(w.dim), w.w_k, w.w_v, w.w_o))
+
+
 CHECKS = {"conv": check_conv, "ddim": check_ddim, "fusion": check_fusion,
-          "patch": check_patch, "blend": check_blend}
+          "attention": check_attention, "patch": check_patch, "blend": check_blend}
 # name -> (the check it must break, that check run on a known-bad variant)
 MUTATIONS = {
     "fusion-sign": ("fusion", partial(check_fusion, fusion_fn=_mutated_fusion)),
     "dilate-up": ("conv", partial(check_conv, mutate_dilate_up=True)),
+    "attention-scale": ("attention", partial(check_attention, attention_fn=_unscaled_attention)),
 }
 
 

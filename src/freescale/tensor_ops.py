@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # The one tile budget: conv2d (output rows), channel norm (map rows) and
-# self_attention (query rows) run in row tiles whose float64 working set
-# stays within TILE_BYTES; about 1 MiB keeps each GEMM at full speed.
+# self_attention (whole maps, then query rows) run in tiles whose float64
+# working set stays within TILE_BYTES; about 1 MiB keeps each GEMM at full
+# speed.
 TILE_BYTES = 1 << 20
 
 # The fusion low-pass filters, named by mode. Their widths are constants of

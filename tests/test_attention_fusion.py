@@ -13,9 +13,8 @@ from freescale.attention import (
     self_attention,
     shifted_crop_sampling,
 )
-from freescale.oracle import reference_lowpass
-from freescale.tensor_ops import linear, lowpass
-from test_tensor_ops import reference_softmax_rows
+from freescale.oracle import reference_lowpass, reference_self_attention
+from freescale.tensor_ops import lowpass
 
 RNG = np.random.default_rng(5)
 
@@ -27,20 +26,6 @@ def random_weights(dim):
         RNG.standard_normal((dim, dim)),
         RNG.standard_normal((dim, dim)),
     )
-
-
-def reference_self_attention(x, w):
-    """The rounding points self_attention must keep: float64 scores, divided
-    by sqrt(dim), cast to float32, row softmax, cast to float64, @ v."""
-    n, c, hh, ww = x.shape
-    tokens = x.reshape(n, c, hh * ww).transpose(0, 2, 1)
-    q, k, v = (linear(tokens, m) for m in (w.w_q, w.w_k, w.w_v))
-    scores = q.astype(np.float64) @ k.astype(np.float64).transpose(0, 2, 1)
-    scores = scores / np.sqrt(float(w.dim))
-    attn = reference_softmax_rows(scores.astype(np.float32).reshape(n * hh * ww, hh * ww))
-    out = attn.reshape(n, hh * ww, hh * ww).astype(np.float64) @ v.astype(np.float64)
-    out = linear(out.astype(np.float32), w.w_o)
-    return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
 
 
 def scaled_weights(rng, dim, scale):
@@ -102,12 +87,13 @@ class TestSelfAttention:
     def test_query_row_tiles(self, monkeypatch, n, size):
         # a stack of n 5x7 maps, 35 tokens each, in tiles of 1-3 whole maps
         # and then in tiles of 1-3 query rows of one map, the last tile short;
-        # one map's float64 scores are 35 * 35 * 8 bytes, one row's 35 * 8
+        # one map's float64 q, k, v and scores are 35 * (35 + 3 * 6) * 8
+        # bytes, one row's scores 35 * 8
         rng = np.random.default_rng(41)
         w = scaled_weights(rng, 6, 1.0)
         x = rng.standard_normal((n, 6, 5, 7)).astype(np.float32)
         whole = self_attention(x, w)  # one tile
-        map_bytes, row_bytes = 35 * 35 * 8, 35 * 8
+        map_bytes, row_bytes = 35 * (35 + 3 * 6) * 8, 35 * 8
         for unit, tiles in ((map_bytes, (min(size, n), 35)), (row_bytes, (1, size))):
             monkeypatch.setattr(tensor_ops, "TILE_BYTES", (size + 1) * unit - 1)
             maps = tensor_ops.tile_rows(n, map_bytes)
@@ -156,6 +142,16 @@ class TestPatchGrid:
     def test_divisibility_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             PatchGrid(10, 10, 4, 4, 4, 4)
+
+    @pytest.mark.parametrize("grid", [PatchGrid(6, 10, 2, 4, 2, 3), PatchGrid(8, 8, 4, 4, 4, 4),
+                                      PatchGrid(5, 7, 5, 7, 1, 1)],
+                             ids=["rectangular", "stride-is-window", "single-crop"])
+    def test_crops_equal_slices(self, grid):
+        x = RNG.standard_normal((2, 3, grid.height, grid.width)).astype(np.float32)
+        h, w = grid.window_h, grid.window_w
+        expected = np.stack([m[:, t : t + h, l : l + w] for m in x for t, l in grid.positions])
+        got = shifted_crop_sampling(x, grid)
+        assert got.flags.c_contiguous and np.array_equal(got, expected)
 
     def test_shape_mismatch(self):
         grid = PatchGrid(8, 8, 4, 4, 2, 2)
@@ -302,11 +298,12 @@ class TestFusedAttention:
         expected = h_global - lowpass(h_global, blur) + lowpass(h_local, blur)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
-    @pytest.mark.parametrize("band", [1, 2, 3, None])
+    @pytest.mark.parametrize("maps", [1, 2, 3, None])
     @pytest.mark.parametrize("case", list(FUSED_CASES))
-    def test_bitwise_equal_to_composition(self, monkeypatch, case, band):
-        # each crop's q, k, v are its rows of the map's projections, and the
-        # patch branch runs 1-3 grid positions a band (None: the default budget)
+    def test_bitwise_equal_to_composition(self, monkeypatch, case, maps):
+        # the composition at the default budget against a run whose patch
+        # branch attends 1-3 crop maps a tile, and whose global branch then
+        # runs a few query rows a tile (None: the default budget)
         shape, window, blur = FUSED_CASES[case]
         rng = np.random.default_rng(61)
         n, c = shape[:2]
@@ -319,16 +316,17 @@ class TestFusedAttention:
             reconstruct_average(self_attention(shifted_crop_sampling(x, grid), w), grid),
             blur,
         )
-        if band is not None:
-            unit = n * window**2 * (3 * c + window**2) * 8  # one grid position
-            monkeypatch.setattr(tensor_ops, "TILE_BYTES", (band + 1) * unit - 1)
-            assert tensor_ops.tile_rows(grid.count, unit) == band
+        if maps is not None:
+            unit = window**2 * (window**2 + 3 * c) * 8  # one crop map
+            monkeypatch.setattr(tensor_ops, "TILE_BYTES", (maps + 1) * unit - 1)
+            assert tensor_ops.tile_rows(n * grid.count, unit) == maps
         assert np.array_equal(fused_attention(x, w, fusion), expected)
 
     def test_peak_memory_level8(self):
         # both guidance rows of the 1024-token level-8 mid map, 225 crops a map;
         # projecting every crop's tokens and holding all their q, k, v at once
-        # peaked at 9.9 MiB, the shared projections in bands at 6.1 MiB
+        # peaked at 9.9 MiB; tiles of whole crop maps with their own q, k, v
+        # peak at 3.5 MiB, the 0.9 MiB crop stack and its output included
         shape, window, blur = FUSED_CASES["level8"]
         rng = np.random.default_rng(67)
         w = scaled_weights(rng, shape[1], 0.3)

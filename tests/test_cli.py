@@ -249,7 +249,7 @@ class TestOracle:
     def test_all_checks_pass(self, capsys):
         assert main(["oracle", "--check", "all"]) == 0
         out = capsys.readouterr().out
-        for name in ("conv", "ddim", "fusion", "patch", "blend"):
+        for name in ("conv", "ddim", "fusion", "attention", "patch", "blend"):
             assert f"check_{name}=pass" in out
 
     def test_single_check(self, capsys):
@@ -268,6 +268,11 @@ class TestOracle:
     def test_dilate_up_mutation_detected(self, capsys, check):
         assert main(["oracle", "--check", check, "--mutate", "dilate-up"]) == 1
         assert "check_conv=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["all", "blend"])
+    def test_attention_scale_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "attention-scale"]) == 1
+        assert "check_attention=fail" in capsys.readouterr().out
 
 
 class TestFileio:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import traced_peak
 from freescale import tensor_ops
-from freescale.oracle import reference_conv2d, reference_lowpass
+from freescale.oracle import reference_conv2d, reference_lowpass, reference_softmax_rows
 from freescale.tensor_ops import (
     BLUR_MODES,
     Kernel2D,
@@ -205,15 +205,6 @@ class TestLowpass:
             lowpass(np.zeros((4, 4)), "gaussian")
         with pytest.raises(ValueError, match="unknown blur mode"):
             lowpass(np.zeros((1, 1, 4, 4)), "box")
-
-
-def reference_softmax_rows(m):
-    """The pass sequence softmax_rows must round like: float64 copy, max
-    subtraction, exp, division by the row sum, one cast to float32."""
-    z = m.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
 class TestSoftmaxRows:
