@@ -4,6 +4,7 @@ overlap-averaged reconstruction, and frequency-split scale fusion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,17 @@ class PatchGrid:
         lefts = range(0, self.width - self.window_w + 1, self.stride_w)
         return [(t, l) for t in tops for l in lefts]
 
+    @property
+    @functools.cache  # keyed by the grid's fields, so equal grids share it
+    def cover(self) -> np.ndarray:
+        """How many crops cover each pixel, as a read-only float64 [H, W]
+        map."""
+        cover = np.zeros((self.height, self.width), dtype=np.float64)
+        for top, left in self.positions:
+            cover[top : top + self.window_h, left : left + self.window_w] += 1.0
+        cover.flags.writeable = False
+        return cover
+
 
 def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     """Single-head self-attention over the H*W spatial tokens of each map in
@@ -151,12 +163,10 @@ def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
         )
     n = len(patches) // grid.count
     acc = np.zeros((n, patches.shape[1], grid.height, grid.width), dtype=np.float64)
-    cover = np.zeros((grid.height, grid.width), dtype=np.float64)
     stacks = patches.reshape(n, grid.count, *patches.shape[1:])
     for p, (top, left) in enumerate(grid.positions):
         acc[:, :, top : top + grid.window_h, left : left + grid.window_w] += stacks[:, p]
-        cover[top : top + grid.window_h, left : left + grid.window_w] += 1.0
-    acc /= cover
+    acc /= grid.cover
     return acc.astype(np.float32)
 
 

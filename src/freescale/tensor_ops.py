@@ -16,9 +16,9 @@ import numpy as np
 
 # The one tile budget: conv2d (output rows), channel norm (map rows) and
 # self_attention (whole maps, then query rows) run in tiles whose float64
-# working set stays within TILE_BYTES; about 1 MiB keeps each GEMM at full
+# working set stays within TILE_BYTES; 512 KiB keeps each GEMM at full
 # speed.
-TILE_BYTES = 1 << 20
+TILE_BYTES = 1 << 19
 
 # The fusion low-pass filters, named by mode. Their widths are constants of
 # the method: a Gaussian of sigma 1 pixel, or an ideal DFT cut-off at a
@@ -86,38 +86,44 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     kh, kw = kernel.weights.shape[2:]
     d = int(dilation)
     ph, pw = d * (kh - 1) // 2, d * (kw - 1) // 2
-    wp = w + 2 * pw
+    s = w + pw
     # Output rows go in blocks of `rows`. A block's input is its own rows
-    # plus ph halo rows either side, zero-padded to width wp, plus one spare
-    # zero row. In rows of width wp, tap (i, j) is one GEMM on the rb*wp
-    # contiguous columns at offset i*d*wp + j*d; the spare row keeps the last
-    # slice in bounds and the wp - w wrap-around columns are cropped. The
-    # first tap's GEMM writes the accumulator; each later tap's is added.
-    rows = tile_rows(h, (c + 2 * o) * wp * 8 * n)
-    xb = np.zeros((n, c, rows + 2 * ph + 1, wp), dtype=np.float64)
-    flat = xb.reshape(n, c, -1)
+    # plus ph halo rows either side, each row followed by one shared gap of
+    # pw zeros, so the row stride is s; the flat buffer leads with pw zeros
+    # and ends with pw spare ones. A tap's column offset lies in [-pw, pw],
+    # so a read left of a row lands in the previous row's gap (or the
+    # leading zeros), and tap (i, j) is one GEMM on the rb*s contiguous
+    # columns at offset i*d*s + j*d. Staging writes only the w data columns
+    # of each row, so the gaps stay zero; the pw gap columns of each output
+    # row are cropped. The first tap's GEMM writes the accumulator; each
+    # later tap's is added.
+    rows = tile_rows(h, (c + 2 * o) * s * 8 * n)
+    flat = np.zeros((n, c, (rows + 2 * ph) * s + 2 * pw), dtype=np.float64)
+    xb = flat[:, :, pw : pw + (rows + 2 * ph) * s].reshape(n, c, rows + 2 * ph, s)
     taps = np.ascontiguousarray(kernel.weights.transpose(2, 3, 0, 1), dtype=np.float64)
-    starts = [i * d * wp + j * d for i in range(kh) for j in range(kw)]
+    starts = [i * d * s + j * d for i in range(kh) for j in range(kw)]
     taps = taps.reshape(kh * kw, o, c)
-    acc = np.empty((n, o, rows * wp), dtype=np.float64)
+    acc = np.empty((n, o, rows * s), dtype=np.float64)
     prod = np.empty_like(acc)  # one product buffer, reused by every later tap
-    bias = kernel.bias.astype(np.float64)[None, :, None, None]
+    bias = kernel.bias.astype(np.float64)[None, :, None]
     out = np.empty((n, o, h, w), dtype=np.float32)
     for r0 in range(0, h, rows):
         rb = min(rows, h - r0)
         lo, hi = max(r0 - ph, 0), min(r0 + rb + ph, h)  # input rows in reach
-        top, bottom = lo - r0 + ph, hi - r0 + ph  # where they land in xb
-        xb[:, :, :top] = 0.0
-        xb[:, :, top:bottom, pw : pw + w] = x[:, :, lo:hi]
-        xb[:, :, bottom:] = 0.0
-        blk, tmp = acc[:, :, : rb * wp], prod[:, :, : rb * wp]
-        np.matmul(taps[0], flat[:, :, : rb * wp], out=blk)
+        # where they land in xb; top only falls from tile to tile, so the
+        # rows above it have held zeros since the buffer was made
+        top, bottom = lo - r0 + ph, hi - r0 + ph
+        xb[:, :, top:bottom, :w] = x[:, :, lo:hi]
+        xb[:, :, bottom:, :w] = 0.0
+        blk, tmp = acc[:, :, : rb * s], prod[:, :, : rb * s]
+        np.matmul(taps[0], flat[:, :, : rb * s], out=blk)
         for tap, start in zip(taps[1:], starts[1:]):
-            np.matmul(tap, flat[:, :, start : start + rb * wp], out=tmp)
+            np.matmul(tap, flat[:, :, start : start + rb * s], out=tmp)
             blk += tmp
-        blk = blk.reshape(n, o, rb, wp)[:, :, :, :w]
-        # the bias add, then the one rounding to float32
-        np.add(blk, bias, out=out[:, :, r0 : r0 + rb], casting="unsafe")
+        # the bias add in float64 on the contiguous accumulator, then the one
+        # rounding to float32 as a plain copy of the kept columns
+        blk += bias
+        out[:, :, r0 : r0 + rb] = blk.reshape(n, o, rb, s)[:, :, :, :w]
     return out
 
 

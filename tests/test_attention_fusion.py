@@ -213,6 +213,24 @@ class TestReconstructAverage:
         with pytest.raises(ValueError, match="patches"):
             reconstruct_average(np.zeros((1, 1, 4, 4)), grid)
 
+    @pytest.mark.parametrize("grid", [
+        PatchGrid(16, 16, 8, 8, 4, 4),
+        PatchGrid(12, 9, 6, 3, 3, 2),
+        PatchGrid(8, 8, 8, 8, 8, 8),
+    ], ids=["half-window", "rectangular", "single-crop"])
+    def test_cover_counts_crops(self, grid):
+        # the cover is built once per grid value and read-only
+        ys, xs = np.mgrid[: grid.height, : grid.width]
+        count = sum(((ys >= top) & (ys < top + grid.window_h)
+                     & (xs >= left) & (xs < left + grid.window_w)).astype(np.float64)
+                    for top, left in grid.positions)
+        cover = grid.cover
+        assert cover.dtype == np.float64 and not cover.flags.writeable
+        assert np.array_equal(cover, count)
+        same = PatchGrid(grid.height, grid.width, grid.window_h, grid.window_w,
+                         grid.stride_h, grid.stride_w)
+        assert same.cover is cover
+
 
 class TestScaleFusion:
     def test_equal_inputs_identity(self):
@@ -326,7 +344,7 @@ class TestFusedAttention:
         # both guidance rows of the 1024-token level-8 mid map, 225 crops a map;
         # projecting every crop's tokens and holding all their q, k, v at once
         # peaked at 9.9 MiB; tiles of whole crop maps with their own q, k, v
-        # peak at 3.5 MiB, the 0.9 MiB crop stack and its output included
+        # peak at 2.8 MiB, the 0.9 MiB crop stack and its output included
         shape, window, blur = FUSED_CASES["level8"]
         rng = np.random.default_rng(67)
         w = scaled_weights(rng, shape[1], 0.3)

@@ -66,18 +66,28 @@ class TestConv2d:
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_row_blocks(self, monkeypatch, rows):
-        # blocks of 1-3 output rows, most of them narrower than the halo
+        # blocks of 1-3 output rows, most of them narrower than the halo; in
+        # the last three shapes off-centre taps read only the zero gap that
+        # consecutive rows share: a map one column wide, dilations at or
+        # past the width, and 1x5 and 5x1 kernels
+        shapes = [(hw, ((1, 1), (3, 3), (5, 3)), (1, 2, 3, 5)) for hw in ((7, 11), (3, 4))]
+        shapes += [
+            ((6, 1), ((3, 3), (1, 5), (5, 1), (5, 3)), (1, 2, 3)),
+            ((5, 3), ((3, 3), (1, 5), (5, 1)), (3, 4)),
+            ((4, 6), ((1, 5), (5, 1)), (1, 2, 6)),
+        ]
         cases = []
-        for hw in ((7, 11), (3, 4)):
-            for ksize in ((1, 1), (3, 3), (5, 3)):
-                for d in (1, 2, 3, 5):
+        for hw, ksizes, dilations in shapes:
+            for ksize in ksizes:
+                for d in dilations:
                     x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
                     k = Kernel2D(RNG.standard_normal((3, 2, *ksize)), RNG.standard_normal(3))
                     cases.append((x, k, d, conv2d(x, k, d)))  # one block per call
         for x, k, d, whole in cases:
-            wp = x.shape[3] + d * (k.weights.shape[3] - 1)
-            row_bytes = (k.in_channels + 2 * k.out_channels) * wp * 8 * x.shape[0]
+            s = x.shape[3] + d * (k.weights.shape[3] - 1) // 2  # the row stride
+            row_bytes = (k.in_channels + 2 * k.out_channels) * s * 8 * x.shape[0]
             monkeypatch.setattr(tensor_ops, "TILE_BYTES", rows * row_bytes + row_bytes - 1)
+            assert tensor_ops.tile_rows(x.shape[2], row_bytes) == min(rows, x.shape[2])
             out = conv2d(x, k, d)
             assert np.array_equal(out, whole)
             np.testing.assert_allclose(out, reference_conv2d(x, k, d), atol=1e-5)
