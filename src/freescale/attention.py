@@ -47,7 +47,8 @@ class PatchGrid:
     """Strided grid of (window_h x window_w) crops over an H x W map.
 
     Requires exact tiling: (H - h) divisible by the vertical stride and
-    (W - w) by the horizontal stride, so every pixel is covered.
+    (W - w) by the horizontal stride, and no stride longer than its window,
+    so every pixel is covered.
     """
 
     height: int
@@ -62,6 +63,11 @@ class PatchGrid:
             raise ValueError("window must fit inside the feature map")
         if self.stride_h < 1 or self.stride_w < 1:
             raise ValueError("strides must be positive")
+        if self.stride_h > self.window_h or self.stride_w > self.window_w:
+            raise ValueError(
+                f"stride {self.stride_h}x{self.stride_w} exceeds window "
+                f"{self.window_h}x{self.window_w}: the gaps between crops are uncovered"
+            )
         if (self.height - self.window_h) % self.stride_h != 0:
             raise ValueError(
                 f"(H - h) = {self.height - self.window_h} not divisible by stride {self.stride_h}"
@@ -161,11 +167,20 @@ def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
             f"expected a multiple of {grid.count} patches of {grid.window_h}x{grid.window_w}, "
             f"got shape {patches.shape}"
         )
-    n = len(patches) // grid.count
-    acc = np.zeros((n, patches.shape[1], grid.height, grid.width), dtype=np.float64)
-    stacks = patches.reshape(n, grid.count, *patches.shape[1:])
-    for p, (top, left) in enumerate(grid.positions):
-        acc[:, :, top : top + grid.window_h, left : left + grid.window_w] += stacks[:, p]
+    n, c = len(patches) // grid.count, patches.shape[1]
+    rows = (grid.height - grid.window_h) // grid.stride_h + 1
+    cols = (grid.width - grid.window_w) // grid.stride_w + 1
+    acc = np.zeros((n, c, grid.height, grid.width), dtype=np.float64)
+    # [N, C, h, w, rows, cols]: pixel (dy, dx) of every crop, laid out as the grid
+    stacks = patches.reshape(n, rows, cols, c, grid.window_h, grid.window_w)
+    stacks = stacks.transpose(0, 3, 4, 5, 1, 2)
+    # One strided add per in-window offset. Walking the offsets downward
+    # meets a pixel's crops by rising top, then rising left: the row-major
+    # order of the positions, so every float64 sum is added in that order.
+    for dy in range(grid.window_h - 1, -1, -1):
+        for dx in range(grid.window_w - 1, -1, -1):
+            acc[:, :, dy : dy + grid.height - grid.window_h + 1 : grid.stride_h,
+                dx : dx + grid.width - grid.window_w + 1 : grid.stride_w] += stacks[:, :, dy, dx]
     acc /= grid.cover
     return acc.astype(np.float32)
 

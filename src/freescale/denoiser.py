@@ -148,17 +148,19 @@ def _channel_norm(h: np.ndarray) -> np.ndarray:
     map h, which is returned; keeps activations O(1) so the sampler stays
     stable at any resolution.
 
-    Runs in blocks of rows, so the float64 squares are one block at a time
-    and not the whole map; each position's channel sum is unchanged.
+    Runs in blocks of rows, so the two float64 buffers (the block and its
+    squares) are one block at a time and not the whole map; each position's
+    channel sum is unchanged. The float64 quotient is rounded once, on the
+    write back.
     """
     n, c, hh, ww = h.shape
-    rows = tile_rows(hh, n * c * ww * 8)
+    rows = tile_rows(hh, 2 * n * c * ww * 8)
     for r0 in range(0, hh, rows):
         blk = h[:, :, r0 : r0 + rows]
-        sq = blk.astype(np.float64)
-        sq *= sq
-        rms = np.sqrt(np.mean(sq, axis=1, keepdims=True) + 1e-5)
-        np.divide(blk, rms, out=blk, casting="same_kind")
+        x = blk.astype(np.float64)
+        rms = np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + 1e-5)
+        x /= rms
+        blk[...] = x
     return h
 
 

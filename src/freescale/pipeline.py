@@ -15,6 +15,7 @@ from math import isfinite
 from typing import ClassVar
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__
 from .attention import FusionConfig
@@ -360,6 +361,9 @@ def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
         "seed": config.seed,
         "levels": level_stats,
         "tool_version": __version__,
+        # the pinned bytes hold per numpy build and SIMD dispatch level (README)
+        "numpy_version": np.__version__,
+        "numpy_simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
     }
     return {"image": image, "latent": z0, "manifest": manifest}
 

@@ -143,6 +143,14 @@ class TestPatchGrid:
         with pytest.raises(ValueError, match="divisible"):
             PatchGrid(10, 10, 4, 4, 4, 4)
 
+    # a stride longer than its window leaves the rows and columns between
+    # crops uncovered, and the average would divide 0 by 0 there
+    @pytest.mark.parametrize("shape", [(10, 10, 2, 2, 4, 4), (10, 8, 2, 4, 4, 2),
+                                       (8, 10, 4, 2, 2, 4)], ids=["both", "rows", "cols"])
+    def test_stride_beyond_window_rejected(self, shape):
+        with pytest.raises(ValueError, match="exceeds window"):
+            PatchGrid(*shape)
+
     @pytest.mark.parametrize("grid", [PatchGrid(6, 10, 2, 4, 2, 3), PatchGrid(8, 8, 4, 4, 4, 4),
                                       PatchGrid(5, 7, 5, 7, 1, 1)],
                              ids=["rectangular", "stride-is-window", "single-crop"])
@@ -159,7 +167,31 @@ class TestPatchGrid:
             shifted_crop_sampling(np.zeros((1, 1, 6, 6)), grid)
 
 
+def position_loop_average(patches, grid):
+    """The overlap-add over grid positions in row-major order, as
+    reconstruct_average ran before it added by in-window offset."""
+    n = len(patches) // grid.count
+    acc = np.zeros((n, patches.shape[1], grid.height, grid.width), dtype=np.float64)
+    stacks = patches.reshape(n, grid.count, *patches.shape[1:])
+    for p, (top, left) in enumerate(grid.positions):
+        acc[:, :, top : top + grid.window_h, left : left + grid.window_w] += stacks[:, p]
+    return (acc / grid.cover).astype(np.float32)
+
+
 class TestReconstructAverage:
+    # crops of +-2**60 and +-1 make each float64 sum depend on its order:
+    # (2**60 + 1) - 2**60 is 0, (2**60 - 2**60) + 1 is 1
+    @pytest.mark.parametrize("grid", [
+        PatchGrid(8, 8, 4, 4, 2, 2), PatchGrid(16, 16, 4, 4, 2, 2), PatchGrid(32, 32, 4, 4, 2, 2),
+        PatchGrid(12, 9, 6, 3, 3, 2), PatchGrid(8, 8, 4, 4, 4, 4), PatchGrid(5, 7, 5, 7, 1, 1),
+    ], ids=["side8", "side16", "side32", "rectangular", "stride-is-window", "single-crop"])
+    def test_bitwise_equals_position_loop(self, grid):
+        rng = np.random.default_rng(67)
+        shape = (2 * grid.count, 3, grid.window_h, grid.window_w)
+        patches = rng.choice([-(2.0**60), -1.0, 1.0, 2.0**60], shape).astype(np.float32)
+        assert np.array_equal(reconstruct_average(patches, grid),
+                              position_loop_average(patches, grid))
+
     def test_round_trip_identity(self):
         for hw, win, stride in ((128, 64, 32), (16, 8, 4), (12, 6, 3), (8, 8, 8)):
             grid = PatchGrid(hw, hw, win, win, stride, stride)

@@ -220,7 +220,7 @@ class TestElementwise:
         mags = 10.0 ** rng.uniform(-20, 20, (2, 16, 7, 6))
         h = (rng.standard_normal(mags.shape) * mags).astype(np.float32)
         if rows is not None:
-            row_bytes = 2 * 16 * 6 * 8
+            row_bytes = 2 * (2 * 16 * 6 * 8)  # the float64 block and its squares
             monkeypatch.setattr(tensor_ops, "TILE_BYTES", rows * row_bytes + row_bytes - 1)
         expected = self.old_channel_norm(h)  # before the norm overwrites h
         out = _channel_norm(h)

@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from conftest import traced_peak
 from freescale import pipeline
@@ -305,6 +309,24 @@ class TestRun:
             assert rec["wall_ms"] > 0
             assert np.isfinite(rec["latent_mean"]) and np.isfinite(rec["latent_std"])
         assert manifest["config_sha256"] == tiny_config.sha256()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["numpy_simd"] == [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+
+    @pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="needs AVX512 dispatch")
+    def test_manifest_names_the_simd_dispatch(self, tiny_config):
+        # the same run with AVX512 dispatch switched off names only AVX2's target
+        script = ("from freescale.pipeline import CascadeConfig, run; "
+                  "cfg = CascadeConfig(levels=(1,), steps=2, base_latent_size=8, vae_patch=2, "
+                  "base_width=8, time_embedding_dim=16, cond_dim=8); "
+                  "print(' '.join(run(cfg)['manifest']['numpy_simd']))")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "X86_V4" in run(tiny_config)["manifest"]["numpy_simd"]
+        narrow = proc.stdout.split()
+        assert "X86_V3" in narrow
+        assert not {"X86_V4", "AVX512_ICL", "AVX512_SPR"} & set(narrow)
 
     def test_determinism(self, tiny_config):
         a = run(tiny_config)
