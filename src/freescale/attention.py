@@ -78,15 +78,19 @@ class PatchGrid:
             )
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, cols) of crops; tops step by stride_h, lefts by stride_w."""
+        return ((self.height - self.window_h) // self.stride_h + 1,
+                (self.width - self.window_w) // self.stride_w + 1)
+
+    @property
     def count(self) -> int:
-        return len(self.positions)
+        return int(np.prod(self.shape))
 
     @property
     def positions(self) -> list[tuple[int, int]]:
         """(top, left) corners in row-major order."""
-        tops = range(0, self.height - self.window_h + 1, self.stride_h)
-        lefts = range(0, self.width - self.window_w + 1, self.stride_w)
-        return [(t, l) for t in tops for l in lefts]
+        return [(r * self.stride_h, c * self.stride_w) for r, c in np.ndindex(self.shape)]
 
     @property
     @functools.cache  # keyed by the grid's fields, so equal grids share it
@@ -168,8 +172,8 @@ def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
             f"got shape {patches.shape}"
         )
     n, c = len(patches) // grid.count, patches.shape[1]
-    rows = (grid.height - grid.window_h) // grid.stride_h + 1
-    cols = (grid.width - grid.window_w) // grid.stride_w + 1
+    rows, cols = grid.shape
+    sh, sw = grid.stride_h, grid.stride_w
     acc = np.zeros((n, c, grid.height, grid.width), dtype=np.float64)
     # [N, C, h, w, rows, cols]: pixel (dy, dx) of every crop, laid out as the grid
     stacks = patches.reshape(n, rows, cols, c, grid.window_h, grid.window_w)
@@ -179,8 +183,7 @@ def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     # order of the positions, so every float64 sum is added in that order.
     for dy in range(grid.window_h - 1, -1, -1):
         for dx in range(grid.window_w - 1, -1, -1):
-            acc[:, :, dy : dy + grid.height - grid.window_h + 1 : grid.stride_h,
-                dx : dx + grid.width - grid.window_w + 1 : grid.stride_w] += stacks[:, :, dy, dx]
+            acc[:, :, dy : dy + rows * sh : sh, dx : dx + cols * sw : sw] += stacks[:, :, dy, dx]
     acc /= grid.cover
     return acc.astype(np.float32)
 

@@ -30,12 +30,14 @@ EXIT_NUMERIC = 3
 
 def _load_config(path: str) -> CascadeConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    # ValueError: not UTF-8 (UnicodeDecodeError) or not JSON (JSONDecodeError);
+    # RecursionError: arrays or objects nested past the interpreter's limit
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return CascadeConfig.from_dict(raw)

@@ -210,31 +210,36 @@ def check_attention(attention_fn=self_attention) -> CheckResult:
     return CheckResult("attention", max_dev == 0.0, max_dev)
 
 
-def _reference_overlap_average(patches, grid: PatchGrid) -> np.ndarray:
-    total = np.zeros((1, patches.shape[1], grid.height, grid.width), dtype=np.float64)
+def reference_overlap_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Average an [N*P,C,h,w] crop stack (map-major) back onto [N,C,H,W]
+    maps by a loop over the grid's positions in row-major order: each crop
+    is added into float64 sums, each pixel counts the crops that covered it,
+    and each sum is divided by its count once."""
+    n = len(patches) // grid.count
+    total = np.zeros((n, patches.shape[1], grid.height, grid.width), dtype=np.float64)
     count = np.zeros((grid.height, grid.width), dtype=np.float64)
-    for patch, (top, left) in zip(patches, grid.positions):
-        for dy in range(grid.window_h):
-            for dx in range(grid.window_w):
-                total[0, :, top + dy, left + dx] += patch[:, dy, dx]
-                count[top + dy, left + dx] += 1.0
+    stacks = as_f32(patches).reshape(n, grid.count, *patches.shape[1:])
+    for p, (top, left) in enumerate(grid.positions):
+        total[:, :, top : top + grid.window_h, left : left + grid.window_w] += stacks[:, p]
+        count[top : top + grid.window_h, left : left + grid.window_w] += 1.0
     return (total / count).astype(np.float32)
 
 
-def check_patch() -> CheckResult:
-    """Round-trip identity plus a brute-force per-pixel averaging oracle."""
+def check_patch(average_fn=reconstruct_average) -> CheckResult:
+    """The crop round trip, and the overlap-add against
+    reference_overlap_average on two maps' crops of +-2**60 and +-1, whose
+    float64 sums depend on their order: (2**60 + 1) - 2**60 is 0, but
+    (2**60 - 2**60) + 1 is 1. Both agree bitwise."""
     rng = np.random.default_rng(37)
-    max_dev = 0.0
     grid = PatchGrid(128, 128, 64, 64, 32, 32)
     x = rng.standard_normal((1, 2, 128, 128)).astype(np.float32)
-    back = reconstruct_average(shifted_crop_sampling(x, grid), grid)
-    max_dev = max(max_dev, float(np.max(np.abs(back - x))))
-    small = PatchGrid(16, 16, 8, 8, 4, 4)
-    patches = rng.standard_normal((small.count, 3, 8, 8)).astype(np.float32)
-    got = reconstruct_average(patches, small)
-    ref = _reference_overlap_average(patches, small)
-    max_dev = max(max_dev, float(np.max(np.abs(got - ref))))
-    return CheckResult("patch", max_dev < 1e-6, max_dev)
+    max_dev = float(np.max(np.abs(average_fn(shifted_crop_sampling(x, grid), grid) - x)))
+    for grid in (PatchGrid(16, 16, 8, 8, 4, 4), PatchGrid(12, 9, 6, 3, 3, 2)):
+        shape = (2 * grid.count, 3, grid.window_h, grid.window_w)
+        patches = rng.choice([-(2.0**60), -1.0, 1.0, 2.0**60], shape).astype(np.float32)
+        dev = np.max(np.abs(average_fn(patches, grid) - reference_overlap_average(patches, grid)))
+        max_dev = max(max_dev, float(dev))
+    return CheckResult("patch", max_dev == 0.0, max_dev)
 
 
 def check_blend() -> CheckResult:
@@ -267,6 +272,15 @@ def _unscaled_attention(x, w):
     return self_attention(x, AttentionWeights(w.w_q * np.sqrt(w.dim), w.w_k, w.w_v, w.w_o))
 
 
+def _upward_overlap_average(patches, grid):
+    # the in-window offsets walked upward, which adds each pixel's crops in
+    # reverse row-major order; so does reconstruct_average on the maps and
+    # crops turned by 180 degrees, since the turned grid is the same grid
+    n = len(patches) // grid.count
+    turned = patches.reshape(n, grid.count, *patches.shape[1:])[:, ::-1, :, ::-1, ::-1]
+    return reconstruct_average(turned.reshape(patches.shape), grid)[:, :, ::-1, ::-1]
+
+
 CHECKS = {"conv": check_conv, "ddim": check_ddim, "fusion": check_fusion,
           "attention": check_attention, "patch": check_patch, "blend": check_blend}
 # name -> (the check it must break, that check run on a known-bad variant)
@@ -274,6 +288,7 @@ MUTATIONS = {
     "fusion-sign": ("fusion", partial(check_fusion, fusion_fn=_mutated_fusion)),
     "dilate-up": ("conv", partial(check_conv, mutate_dilate_up=True)),
     "attention-scale": ("attention", partial(check_attention, attention_fn=_unscaled_attention)),
+    "overlap-order": ("patch", partial(check_patch, average_fn=_upward_overlap_average)),
 }
 
 

@@ -39,7 +39,8 @@ from .scheduler import (
     make_schedule,
 )
 from .tensor_ops import BLUR_MODES
-from .vae import AutoencoderSpec, decode, make_autoencoder, phi_upsample
+from .vae import (UPSAMPLE_SPACES, AutoencoderSpec, decode, latent_channels, make_autoencoder,
+                  phi_upsample)
 
 
 class ConfigError(ValueError):
@@ -102,10 +103,8 @@ class CascadeConfig:
         if not levels or levels != tuple(2**i for i in range(len(levels))):
             raise ConfigError(f"levels must be 1, 2, 4, ... (each the double of the last), "
                               f"got {list(levels)}")
-        if not (1 <= self.injection_step <= TOTAL_TIMESTEPS):
-            raise ConfigError(f"injection_step must lie in [1, {TOTAL_TIMESTEPS}]")
-        if self.upsample_space not in ("rgb", "latent"):
-            raise ConfigError("upsample_space must be 'rgb' or 'latent'")
+        if self.upsample_space not in UPSAMPLE_SPACES:
+            raise ConfigError(f"upsample_space must be one of {UPSAMPLE_SPACES}")
         if self.blur_mode not in BLUR_MODES:
             raise ConfigError(f"blur_mode must be one of {BLUR_MODES}")
         if not all(a >= MIN_ALPHA for a in (self.alpha_default, self.alpha_lo, self.alpha_hi)):
@@ -116,12 +115,10 @@ class CascadeConfig:
             raise ConfigError(f"prompt does not encode as UTF-8: {e.reason}") from e
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.vae_patch < 1:
-            raise ConfigError("vae_patch must be >= 1")
-        if not (1 <= self.steps <= TOTAL_TIMESTEPS):
-            raise ConfigError(f"steps must lie in [1, {TOTAL_TIMESTEPS}]")
         try:
             self.unet_config()
+            sched = make_schedule(TOTAL_TIMESTEPS, self.steps)
+            level_timesteps = sched.injection_timesteps(self.injection_step)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         div = 2**DOWN_BLOCKS
@@ -129,7 +126,6 @@ class CascadeConfig:
             raise ConfigError(f"base_latent_size must be positive and divisible by {div}")
         fusion = self.fusion()
         for level in levels[1:] if self.fusion_enabled else ():
-            # a fusion grid needs a window of >= 2
             if fusion.window < 2:
                 raise ConfigError("base_latent_size too small for the attention window")
             side = fusion.window * level
@@ -140,10 +136,9 @@ class CascadeConfig:
                     f"base_latent_size {self.base_latent_size}: the attention window "
                     f"{fusion.window} does not tile the {side}x{side} mid map of level {level} ({e})"
                 ) from e
-        # above the smallest DDIM timestep the cascade levels run no step at all
-        last = TOTAL_TIMESTEPS - (TOTAL_TIMESTEPS // self.steps) * (self.steps - 1)
-        if len(levels) > 1 and last > self.injection_step:
-            raise ConfigError(f"injection_step lies below every DDIM timestep (min {last})")
+        if len(levels) > 1 and not level_timesteps:
+            raise ConfigError(f"injection_step lies below every DDIM timestep "
+                              f"(min {sched.ddim_timesteps[-1]})")
 
     def fusion(self) -> FusionConfig:
         """Scale fusion on the mid-block attention map: the window is that
@@ -152,7 +147,7 @@ class CascadeConfig:
 
     def unet_config(self) -> UNetConfig:
         return UNetConfig(
-            latent_channels=3 * self.vae_patch**2,
+            latent_channels=latent_channels(self.vae_patch),
             base_width=self.base_width,
             time_embedding_dim=self.time_embedding_dim,
             cond_dim=self.cond_dim,
@@ -207,18 +202,11 @@ def _check_finite(z: np.ndarray, where: str) -> None:
         raise NumericError(f"non-finite values in {where}")
 
 
-def _latent_shape(config: CascadeConfig, level: int) -> tuple:
-    n = config.base_latent_size * level
-    return (1, 3 * config.vae_patch**2, n, n)
-
-
-def _alpha_map_for_level(
-    config: CascadeConfig, level: int, mask: np.ndarray | None
-) -> np.ndarray:
+def _alpha_map(config: CascadeConfig, height: int, width: int,
+               mask: np.ndarray | None) -> np.ndarray:
     if mask is not None:
         alpha_img = config.alpha_lo + mask * (config.alpha_hi - config.alpha_lo)
-        n = config.base_latent_size * level
-        return nearest_resize(alpha_img, n, n)[None, None]
+        return nearest_resize(alpha_img, height, width)[None, None]
     return np.asarray(config.alpha_default)
 
 
@@ -258,7 +246,8 @@ def _denoise_loop(
 def _pure_noise(config: CascadeConfig, level: int, stream: int) -> np.ndarray:
     """The seeded unit-noise latent of one level; stream keys the draw."""
     rng = np.random.default_rng([config.seed, stream])
-    shape = _latent_shape(config, level)
+    n = config.base_latent_size * level
+    shape = (1, latent_channels(config.vae_patch), n, n)
     with _allocating(f"the first latent, shape {shape}"):
         return rng.standard_normal(shape).astype(np.float32)
 
@@ -296,10 +285,10 @@ def cascade_level(
     # one noise draw per level: it drives the injection and stays the anchor
     # noise for every blend step, so the anchor trajectory is consistent
     anchor_noise = rng.standard_normal(phi.shape).astype(np.float32)
-    timesteps = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
+    timesteps = sched.injection_timesteps(config.injection_step)
 
     fusion = config.fusion() if config.fusion_enabled else None
-    alpha = _alpha_map_for_level(config, level, mask) if config.blend_enabled else None
+    alpha = _alpha_map(config, *phi.shape[2:], mask) if config.blend_enabled else None
 
     # the latent carries the noise level the sampler's first step assumes; it
     # goes straight into the loop, so no frame here keeps it past step one
@@ -340,7 +329,7 @@ def run(config: CascadeConfig, mask: np.ndarray | None = None) -> dict:
                               f"got shape {m.shape}")
     sched = make_schedule(TOTAL_TIMESTEPS, config.steps)
     weights = _weights(config)
-    dim = 3 * config.vae_patch**2
+    dim = latent_channels(config.vae_patch)
     with _allocating(f"the autoencoder basis, {dim}x{dim} for vae_patch {config.vae_patch}"):
         vae_spec = make_autoencoder(config.vae_patch, config.seed + 1)
 

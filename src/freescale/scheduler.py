@@ -31,14 +31,21 @@ class NoiseSchedule:
             return 1.0
         return float(self.alpha_bars[t - 1])
 
+    def injection_timesteps(self, injection_step: int) -> list[int]:
+        """The DDIM timesteps at or below injection_step: a cascade level
+        noises its latent at the first and samples down from there."""
+        if not 1 <= injection_step <= self.total_steps:
+            raise ValueError(f"injection_step must lie in [1, {self.total_steps}]")
+        return [int(t) for t in self.ddim_timesteps if t <= injection_step]
+
 
 def make_schedule(total_steps: int, steps: int) -> NoiseSchedule:
     """Scaled-linear beta schedule (sqrt(beta) linearly spaced from 0.00085
     to 0.012, then squared) with an evenly spaced descending DDIM timestep
     subsequence starting at T.
     """
-    if steps < 1 or total_steps < steps:
-        raise ValueError(f"need total_steps >= steps >= 1, got {total_steps}, {steps}")
+    if not 1 <= steps <= total_steps:
+        raise ValueError(f"steps must lie in [1, {total_steps}], got {steps}")
     betas = np.linspace(np.sqrt(0.00085), np.sqrt(0.012), total_steps, dtype=np.float64) ** 2
     stride = total_steps // steps
     timesteps = total_steps - stride * np.arange(steps, dtype=np.int64)
@@ -52,10 +59,7 @@ def make_schedule(total_steps: int, steps: int) -> NoiseSchedule:
 
 def forward_noise(z0: np.ndarray, t: int, noise: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Closed-form forward noising: sqrt(ab_t) * z0 + sqrt(1 - ab_t) * noise.
-
-    The cascade's noise injection is this on the upsampled latent, at the
-    first DDIM timestep at or below K.
-    """
+    The cascade's noise injection is this on the upsampled latent."""
     z0 = as_f32(z0)
     noise = as_f32(noise)
     if noise.shape != z0.shape:

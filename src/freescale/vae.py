@@ -13,28 +13,33 @@ import numpy as np
 from .tensor_ops import as_f32, upsample
 
 
+# where phi_upsample doubles a latent: through RGB, or in the latent itself
+UPSAMPLE_SPACES = ("rgb", "latent")
+
+
+def latent_channels(patch: int) -> int:
+    """Channels of a latent pixel: the 3 * patch**2 RGB values of its patch."""
+    if patch < 1:
+        raise ValueError(f"autoencoder patch must be >= 1, got {patch}")
+    return 3 * patch * patch
+
+
 @dataclass(frozen=True)
 class AutoencoderSpec:
     patch: int
-    basis: np.ndarray  # [3*p*p, 3*p*p], orthonormal columns
+    basis: np.ndarray  # [C, C] for C latent channels, orthonormal columns
 
     def __post_init__(self):
-        dim = 3 * self.patch * self.patch
+        dim = latent_channels(self.patch)
         b = np.asarray(self.basis, dtype=np.float64)
         if b.shape != (dim, dim):
             raise ValueError(f"basis must be {dim}x{dim}, got {b.shape}")
         object.__setattr__(self, "basis", b)
 
-    @property
-    def latent_channels(self) -> int:
-        return 3 * self.patch * self.patch
-
 
 def make_autoencoder(patch: int, seed: int) -> AutoencoderSpec:
     """Seeded orthonormal basis via QR with a deterministic sign fix."""
-    if patch < 1:
-        raise ValueError("patch must be >= 1")
-    dim = 3 * patch * patch
+    dim = latent_channels(patch)
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q = q * np.sign(np.diag(r))[None, :]
@@ -55,11 +60,11 @@ def encode(rgb: np.ndarray, spec: AutoencoderSpec) -> np.ndarray:
     vecs = (
         rgb.reshape(3, hp, p, wp, p)
         .transpose(1, 3, 0, 2, 4)
-        .reshape(hp * wp, 3 * p * p)
+        .reshape(hp * wp, -1)
         .astype(np.float64)
     )
     coeffs = vecs @ spec.basis
-    return coeffs.reshape(hp, wp, 3 * p * p).transpose(2, 0, 1)[None].astype(np.float32)
+    return coeffs.reshape(hp, wp, -1).transpose(2, 0, 1)[None].astype(np.float32)
 
 
 def decode(z: np.ndarray, spec: AutoencoderSpec) -> np.ndarray:
@@ -67,10 +72,8 @@ def decode(z: np.ndarray, spec: AutoencoderSpec) -> np.ndarray:
     z = as_f32(z)
     if z.ndim != 4 or z.shape[0] != 1:
         raise ValueError(f"expected [1,C,h,w] latent, got shape {z.shape}")
-    if z.shape[1] != spec.latent_channels:
-        raise ValueError(
-            f"latent has {z.shape[1]} channels, spec expects {spec.latent_channels}"
-        )
+    if z.shape[1] != len(spec.basis):
+        raise ValueError(f"latent has {z.shape[1]} channels, spec expects {len(spec.basis)}")
     p = spec.patch
     _, c, hp, wp = z.shape
     coeffs = z[0].reshape(c, hp * wp).T.astype(np.float64)

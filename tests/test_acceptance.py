@@ -225,7 +225,7 @@ def test_criterion_09_degradation():
     phi = phi_upsample(z0, config.upsample_space, vae_spec)
     rng = np.random.default_rng([config.seed, 2])
     noise = rng.standard_normal(phi.shape).astype(np.float32)
-    ts = [int(t) for t in sched.ddim_timesteps if t <= config.injection_step]
+    ts = sched.injection_timesteps(config.injection_step)
     z = forward_noise(phi, ts[0], noise, sched)
     cond = prompt_embedding(config.prompt, config.cond_dim)
     uncond = np.zeros(config.cond_dim, np.float32)

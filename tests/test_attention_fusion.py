@@ -13,7 +13,7 @@ from freescale.attention import (
     self_attention,
     shifted_crop_sampling,
 )
-from freescale.oracle import reference_lowpass, reference_self_attention
+from freescale.oracle import reference_lowpass, reference_overlap_average, reference_self_attention
 from freescale.tensor_ops import lowpass
 
 RNG = np.random.default_rng(5)
@@ -122,8 +122,14 @@ class TestSelfAttention:
 class TestPatchGrid:
     def test_nine_patch_count(self):
         grid = PatchGrid(128, 128, 64, 64, 32, 32)
-        assert grid.count == 9
+        assert grid.count == 9 and grid.shape == (3, 3)
         assert len(grid.positions) == 9
+
+    def test_rectangular_shape(self):
+        # tops 0, 3, 6 and lefts 0, 2, 4, 6, listed row-major
+        grid = PatchGrid(12, 9, 6, 3, 3, 2)
+        assert grid.shape == (3, 4) and grid.count == 12
+        assert grid.positions == [(t, l) for t in (0, 3, 6) for l in (0, 2, 4, 6)]
 
     def test_single_patch(self):
         x = RNG.standard_normal((1, 2, 8, 8)).astype(np.float32)
@@ -167,17 +173,6 @@ class TestPatchGrid:
             shifted_crop_sampling(np.zeros((1, 1, 6, 6)), grid)
 
 
-def position_loop_average(patches, grid):
-    """The overlap-add over grid positions in row-major order, as
-    reconstruct_average ran before it added by in-window offset."""
-    n = len(patches) // grid.count
-    acc = np.zeros((n, patches.shape[1], grid.height, grid.width), dtype=np.float64)
-    stacks = patches.reshape(n, grid.count, *patches.shape[1:])
-    for p, (top, left) in enumerate(grid.positions):
-        acc[:, :, top : top + grid.window_h, left : left + grid.window_w] += stacks[:, p]
-    return (acc / grid.cover).astype(np.float32)
-
-
 class TestReconstructAverage:
     # crops of +-2**60 and +-1 make each float64 sum depend on its order:
     # (2**60 + 1) - 2**60 is 0, (2**60 - 2**60) + 1 is 1
@@ -190,7 +185,7 @@ class TestReconstructAverage:
         shape = (2 * grid.count, 3, grid.window_h, grid.window_w)
         patches = rng.choice([-(2.0**60), -1.0, 1.0, 2.0**60], shape).astype(np.float32)
         assert np.array_equal(reconstruct_average(patches, grid),
-                              position_loop_average(patches, grid))
+                              reference_overlap_average(patches, grid))
 
     def test_round_trip_identity(self):
         for hw, win, stride in ((128, 64, 32), (16, 8, 4), (12, 6, 3), (8, 8, 8)):
@@ -231,13 +226,8 @@ class TestReconstructAverage:
     def test_brute_force_oracle(self):
         grid = PatchGrid(128, 128, 64, 64, 32, 32)
         patches = RNG.standard_normal((grid.count, 2, 64, 64)).astype(np.float32)
-        total = np.zeros((1, 2, 128, 128))
-        count = np.zeros((128, 128))
-        for patch, (top, left) in zip(patches, grid.positions):
-            total[:, :, top : top + 64, left : left + 64] += patch
-            count[top : top + 64, left : left + 64] += 1
         np.testing.assert_allclose(
-            reconstruct_average(patches, grid), total / count, atol=1e-6
+            reconstruct_average(patches, grid), reference_overlap_average(patches, grid), atol=1e-6
         )
 
     def test_wrong_count(self):

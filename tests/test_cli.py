@@ -215,6 +215,20 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b'{"prompt": "\xff"}',  # not UTF-8
+         b"[" * 100_000 + b"]" * 100_000],  # nested past the recursion limit
+        ids=["not-utf8", "too-deep"],
+    )
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, command, payload):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(payload)
+        extra = ["--out", str(tmp_path / "x.ppm")] if command == "generate" else []
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid UTF-8 JSON")
+
     # constants of the method, held by the components that use them
     @pytest.mark.parametrize(
         "key",
@@ -273,6 +287,11 @@ class TestOracle:
     def test_attention_scale_mutation_detected(self, capsys, check):
         assert main(["oracle", "--check", check, "--mutate", "attention-scale"]) == 1
         assert "check_attention=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["all", "ddim"])
+    def test_overlap_order_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "overlap-order"]) == 1
+        assert "check_patch=fail" in capsys.readouterr().out
 
 
 class TestFileio:

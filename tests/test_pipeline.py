@@ -204,8 +204,7 @@ class TestCascadeLevel:
 
     def test_timestep_restriction_to_k(self):
         sched = make_schedule(1000, 50)
-        kept = [t for t in sched.ddim_timesteps if t <= 700]
-        assert len(kept) == 35
+        assert len(sched.injection_timesteps(700)) == 35
 
     def test_huge_alpha_ignores_anchor(self, tiny_config):
         # alpha -> +inf drives c -> 0 for every t < T: trajectory equals the
@@ -235,7 +234,7 @@ class TestCascadeLevel:
             phi = phi_upsample(z0, bare.upsample_space, vae_spec)
             rng = np.random.default_rng([bare.seed, 2])
             noise = rng.standard_normal(phi.shape).astype(np.float32)
-            ts = [int(t) for t in sched.ddim_timesteps if t <= bare.injection_step]
+            ts = sched.injection_timesteps(bare.injection_step)
             z = forward_noise(phi, ts[0], noise, sched)
             cond = prompt_embedding(bare.prompt, bare.cond_dim)
             uncond = np.zeros(bare.cond_dim, np.float32)

@@ -52,8 +52,9 @@ class TestMakeSchedule:
             assert sched.alpha_bars[-1] < sched.alpha_bars[0] < 1.0
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            make_schedule(10, 20)
+        for steps in (0, 20):
+            with pytest.raises(ValueError, match=r"steps must lie in \[1, 10\]"):
+                make_schedule(10, steps)
 
 
 class TestForwardNoise:
@@ -133,6 +134,16 @@ class TestCascadeInject:
         phi = np.zeros((1, 1, 2, 2), np.float32)
         with pytest.raises(ValueError):
             forward_noise(phi, 1001, phi, sched)
+
+    def test_injection_timesteps(self):
+        # 50 steps put the grid at 1000, 980, ..., 20; 30 steps at 1000, 967,
+        # ..., 43, so K = 700 lies off that grid and the level starts at 670
+        assert make_schedule(1000, 50).injection_timesteps(700) == list(range(700, 0, -20))
+        assert make_schedule(1000, 30).injection_timesteps(700) == list(range(670, 42, -33))
+        assert make_schedule(1000, 10).injection_timesteps(50) == []
+        for k in (0, 1001):
+            with pytest.raises(ValueError, match=r"injection_step must lie in \[1, 1000\]"):
+                make_schedule(1000, 50).injection_timesteps(k)
 
 
 class TestDetailBlend:

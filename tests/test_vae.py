@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from freescale.tensor_ops import upsample
-from freescale.vae import decode, encode, make_autoencoder, phi_upsample
+from freescale.vae import (UPSAMPLE_SPACES, decode, encode, latent_channels, make_autoencoder,
+                          phi_upsample)
 
 RNG = np.random.default_rng(17)
 
@@ -19,6 +20,13 @@ class TestBasis:
         np.testing.assert_array_equal(a.basis, b.basis)
         c = make_autoencoder(patch=2, seed=6)
         assert np.max(np.abs(a.basis - c.basis)) > 1e-6
+
+    def test_latent_channels(self):
+        # one channel per RGB value of a patch
+        assert [latent_channels(p) for p in (1, 2, 4)] == [3, 12, 48]
+        assert make_autoencoder(patch=2, seed=0).basis.shape == (12, 12)
+        with pytest.raises(ValueError, match="patch must be >= 1"):
+            make_autoencoder(patch=0, seed=0)
 
 
 class TestRoundTrip:
@@ -91,3 +99,6 @@ class TestPhiUpsample:
         spec = make_autoencoder(patch=2, seed=2)
         with pytest.raises(ValueError):
             phi_upsample(np.zeros((1, 12, 2, 2)), "pixelspace", spec)
+        # the spaces a config may name are the ones phi_upsample runs
+        for space in UPSAMPLE_SPACES:
+            assert phi_upsample(np.zeros((1, 12, 2, 2)), space, spec).shape == (1, 12, 4, 4)
