@@ -56,17 +56,17 @@ def group_dilation(factor: int, step: int, total: int) -> dict:
 @dataclass(frozen=True)
 class Block:
     """One UNet block: conv_a, conv_b and the time-embedding projection
-    emb, a (weight [emb_dim, out], bias [out]) pair."""
+    emb, a [emb_dim, out] matrix."""
 
     conv_a: Kernel2D
     conv_b: Kernel2D
-    emb: tuple
+    emb: np.ndarray
 
 
 @dataclass(frozen=True)
 class WeightSet:
     """The frozen UNet's layers, built once by init_weights. temb holds the
-    two (weight, bias) pairs of the embedding MLP; down and up list their
+    two matrices of the embedding MLP; down and up list their
     blocks in the order the forward runs them."""
 
     config: UNetConfig
@@ -102,9 +102,9 @@ def _arrays(node):
 
 def init_weights(config: UNetConfig, seed: int) -> WeightSet:
     """Kaiming-style fan-in initialization (std = sqrt(2/fan_in)) from a
-    seeded generator; biases start at zero. The draws run in a fixed order
-    (temb, stem, down blocks, mid, q/k/v/o, up blocks, head), so identical
-    seeds give bit-identical parameters."""
+    seeded generator; the layers hold weights only. The draws run in a fixed
+    order (temb, stem, down blocks, mid, q/k/v/o, up blocks, head), so
+    identical seeds give bit-identical parameters."""
     rng = np.random.default_rng(seed)
     w = config.widths
     emb = config.time_embedding_dim
@@ -113,10 +113,10 @@ def init_weights(config: UNetConfig, seed: int) -> WeightSet:
         return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
 
     def dense(in_d, out_d):
-        return draw((in_d, out_d), in_d), np.zeros(out_d, dtype=np.float32)
+        return draw((in_d, out_d), in_d)
 
     def conv(out_c, in_c):
-        return Kernel2D(draw((out_c, in_c, 3, 3), in_c * 9), np.zeros(out_c, dtype=np.float32))
+        return Kernel2D(draw((out_c, in_c, 3, 3), in_c * 9))
 
     def block(out_c, in_c):  # arguments run left to right: conv_a, conv_b, emb
         return Block(conv(out_c, in_c), conv(out_c, out_c), dense(emb, out_c))
@@ -206,12 +206,12 @@ def _up_input(h: np.ndarray, skip: np.ndarray) -> np.ndarray:
 
 
 def _conv_block(h, e, block: Block, dilation: int) -> np.ndarray:
-    """One UNet block: channel norm, conv_a, SiLU, embedding bias, conv_b, SiLU.
+    """One UNet block: channel norm, conv_a, SiLU, embedding shift, conv_b, SiLU.
     The norm overwrites the input map h, so callers pass a map they do not
     keep; one passed straight in, held by no caller, is freed once conv_a
     has read it. The embedding rows e are only read."""
     h = _silu(conv2d(_channel_norm(h), block.conv_a, dilation))
-    h = h + linear(e, *block.emb)[:, :, None, None]
+    h = h + linear(e, block.emb)[:, :, None, None]
     return _silu(conv2d(h, block.conv_b, dilation))
 
 
@@ -252,7 +252,7 @@ def predict_noise(
     emb = _time_embedding(t, cfg.time_embedding_dim)
     e = np.concatenate([np.tile(emb, (len(cond), 1)), cond], axis=1)
     fc1, fc2 = weights.temb
-    e = linear(_silu(linear(e, *fc1)), *fc2)
+    e = linear(_silu(linear(e, fc1)), fc2)
 
     h = conv2d(z_t, weights.stem, 1)
     skips = []

@@ -40,7 +40,7 @@ def reference_conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int) -> np.ndarr
         for o in range(kernel.out_channels):
             for y in range(h):
                 for xx in range(w):
-                    acc = float(kernel.bias[o])
+                    acc = 0.0
                     for ci in range(c):
                         for i in range(kh):
                             for j in range(kw):
@@ -126,14 +126,14 @@ def check_conv(mutate_dilate_up: bool = False) -> CheckResult:
     cases = itertools.product(((1, 1), (3, 3), (5, 3)), (1, 2, 3, 5), ((7, 11), (3, 4)))
     for (kh, kw), d, (h, w) in cases:
         x = rng.standard_normal((2, 2, h, w)).astype(np.float32)
-        k = Kernel2D(rng.standard_normal((3, 2, kh, kw)), rng.standard_normal(3))
+        k = Kernel2D(rng.standard_normal((3, 2, kh, kw)))
         dev = float(np.max(np.abs(conv2d(x, k, d) - reference_conv2d(x, k, d))))
         max_dev = max(max_dev, dev)
     # commutation: dilated conv on nearest-upsampled input matches standard
     # conv on the original at interior sampled positions
     for _ in range(5):
         h = rng.standard_normal((1, 2, 12, 12)).astype(np.float32)
-        k = Kernel2D(rng.standard_normal((2, 2, 3, 3)), np.zeros(2))
+        k = Kernel2D(rng.standard_normal((2, 2, 3, 3)))
         fine = conv2d(upsample(h, "nearest"), k, 2)
         coarse = conv2d(h, k, 1)
         interior = slice(1, 11)

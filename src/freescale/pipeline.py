@@ -9,6 +9,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import reprlib
 import time
 from dataclasses import dataclass
 from math import isfinite
@@ -72,7 +73,8 @@ class CascadeConfig:
 
     prompt: str = ""
     levels: tuple = (1, 2, 4)
-    total_timesteps: ClassVar[int] = TOTAL_TIMESTEPS  # a constant of the model, no key
+    # a model constant, no key; it stays while perfbench/setup_probe.py reads it
+    total_timesteps: ClassVar[int] = TOTAL_TIMESTEPS
     steps: int = 50
     injection_step: int = 700
     guidance_scale: float = 7.5
@@ -95,14 +97,15 @@ class CascadeConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if not _is_json(value, f.type):
-                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+                raise ConfigError(f"{f.name} must be of type {f.type}, "
+                                  f"got {type(value).__name__} {reprlib.repr(value)}")
         levels = tuple(self.levels)
         object.__setattr__(self, "levels", levels)
         if not all(_is_json(r, "int") for r in levels):
-            raise ConfigError(f"levels must be integers, got {list(levels)}")
-        if not levels or levels != tuple(2**i for i in range(len(levels))):
+            raise ConfigError(f"levels must be integers, got {reprlib.repr(list(levels))}")
+        if not levels or levels[0] != 1 or any(b != 2 * a for a, b in zip(levels, levels[1:])):
             raise ConfigError(f"levels must be 1, 2, 4, ... (each the double of the last), "
-                              f"got {list(levels)}")
+                              f"got {reprlib.repr(list(levels))}")
         if self.upsample_space not in UPSAMPLE_SPACES:
             raise ConfigError(f"upsample_space must be one of {UPSAMPLE_SPACES}")
         if self.blur_mode not in BLUR_MODES:

@@ -1,5 +1,5 @@
 """Deterministic numeric core: dilated 2-D convolution, resampling,
-low-pass filters, row softmax, and affine maps.
+low-pass filters, row softmax, and linear maps.
 
 All public operations take and return float32 arrays (NCHW for images and
 latents). Accumulations run in float64 and are rounded once at the end so
@@ -40,22 +40,17 @@ def tile_rows(height: int, row_bytes: int) -> int:
 
 @dataclass(frozen=True)
 class Kernel2D:
-    """Convolution kernel [out_channels, in_channels, k_h, k_w] plus bias."""
+    """Convolution kernel [out_channels, in_channels, k_h, k_w]."""
 
     weights: np.ndarray
-    bias: np.ndarray
 
     def __post_init__(self):
         w = as_f32(self.weights)
-        b = as_f32(self.bias)
         if w.ndim != 4:
             raise ValueError(f"kernel weights must be 4-D, got shape {w.shape}")
         if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
             raise ValueError(f"kernel spatial size must be odd, got {w.shape[2:]}")
-        if b.shape != (w.shape[0],):
-            raise ValueError("bias length must equal out_channels")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
 
     @property
     def out_channels(self) -> int:
@@ -105,7 +100,6 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
     taps = taps.reshape(kh * kw, o, c)
     acc = np.empty((n, o, rows * s), dtype=np.float64)
     prod = np.empty_like(acc)  # one product buffer, reused by every later tap
-    bias = kernel.bias.astype(np.float64)[None, :, None]
     out = np.empty((n, o, h, w), dtype=np.float32)
     for r0 in range(0, h, rows):
         rb = min(rows, h - r0)
@@ -120,9 +114,6 @@ def conv2d(x: np.ndarray, kernel: Kernel2D, dilation: int = 1) -> np.ndarray:
         for tap, start in zip(taps[1:], starts[1:]):
             np.matmul(tap, flat[:, :, start : start + rb * s], out=tmp)
             blk += tmp
-        # the bias add in float64 on the contiguous accumulator, then the one
-        # rounding to float32 as a plain copy of the kept columns
-        blk += bias
         out[:, :, r0 : r0 + rb] = blk.reshape(n, o, rb, s)[:, :, :, :w]
     return out
 
@@ -229,8 +220,8 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return z.astype(np.float32)
 
 
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Affine map over the last axis: x @ weight + bias."""
+def linear(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Linear map over the last axis: x @ weight."""
     x = as_f32(x)
     weight = as_f32(weight)
     if x.shape[-1] != weight.shape[0]:
@@ -238,9 +229,4 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
             f"dimension mismatch: input dim {x.shape[-1]} vs weight rows {weight.shape[0]}"
         )
     y = x.astype(np.float64) @ weight.astype(np.float64)
-    if bias is not None:
-        bias = as_f32(bias)
-        if bias.shape != (weight.shape[1],):
-            raise ValueError("bias length must equal weight columns")
-        y = y + bias.astype(np.float64)
     return y.astype(np.float32)

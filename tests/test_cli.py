@@ -229,6 +229,18 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), *extra]) == 2
         assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid UTF-8 JSON")
 
+    # an error message shows a rejected value as a repr cut short
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"prompt": [0] * 10**6}, {"levels": [0] * 10**6}, {"levels": [1, 2.5] + [0] * 10**6}],
+        ids=["prompt", "levels-doubling", "levels-integers"],
+    )
+    def test_huge_rejected_value_exits_2_briefly(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x.ppm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.encode("utf-8")) < 1024, len(err)
+
     # constants of the method, held by the components that use them
     @pytest.mark.parametrize(
         "key",

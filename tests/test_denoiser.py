@@ -38,9 +38,9 @@ class TestInitWeights:
         assert init_weights(SMALL, 3).checksum() != init_weights(SMALL, 4).checksum()
 
     def test_checksum_pinned(self):
-        # the 42 arrays of the parent tree, hashed in draw order
+        # the 23 weight arrays, hashed in draw order
         assert init_weights(UNetConfig(3, 8, 16, 8), 3).checksum() == (
-            "733d2ca203f4ecf5f1ec0bf715a81a09dc95af47024d0fb75b22a8d2fa27ebf5"
+            "1b4490d41890b587b9864a71ad4fc8c53f8fae22aa6372a9376476a63cfee9d9"
         )
 
     def test_fan_in_variance(self):
@@ -48,7 +48,7 @@ class TestInitWeights:
         ws = init_weights(cfg, 0)
         blocks = (*ws.down, ws.mid, *ws.up)
         kernels = [ws.stem, ws.head, *(k for b in blocks for k in (b.conv_a, b.conv_b))]
-        dense = [w for w, _ in ws.temb] + [b.emb[0] for b in blocks]
+        dense = [*ws.temb, *(b.emb for b in blocks)]
         attn = [ws.attn.w_q, ws.attn.w_k, ws.attn.w_v, ws.attn.w_o]
         # a conv weight [o, c, 3, 3] has fan-in 9c, a dense weight [in, out] in
         mats = [(k.weights, k.weights.shape[1] * 9) for k in kernels]

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +328,19 @@ class TestRun:
         narrow = proc.stdout.split()
         assert "X86_V3" in narrow
         assert not {"X86_V4", "AVX512_ICL", "AVX512_SPR"} & set(narrow)
+
+    def test_benchmark_setup_probe_runs(self, tmp_path, tiny_config):
+        # the benchmark times set-up with this probe in a fresh interpreter; it
+        # reads CascadeConfig.total_timesteps and calls make_schedule(total,
+        # steps), so removing either fails every set-up spawn of the benchmark
+        root = Path(__file__).resolve().parents[1]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(tiny_config.to_dict()))
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "setup_probe.py"), str(cfg)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ready"]
 
     def test_determinism(self, tiny_config):
         a = run(tiny_config)

@@ -22,7 +22,7 @@ def identity_kernel(channels):
     w = np.zeros((channels, channels, 3, 3), np.float32)
     for c in range(channels):
         w[c, c, 1, 1] = 1.0
-    return Kernel2D(w, np.zeros(channels))
+    return Kernel2D(w)
 
 
 class TestConv2d:
@@ -33,7 +33,7 @@ class TestConv2d:
     def test_dilated_impulse(self):
         x = np.zeros((1, 1, 8, 8), np.float32)
         x[0, 0, 4, 4] = 1.0
-        k = Kernel2D(np.ones((1, 1, 3, 3)), np.zeros(1))
+        k = Kernel2D(np.ones((1, 1, 3, 3)))
         out = conv2d(x, k, 2)
         expected = np.zeros((8, 8), np.float32)
         for dy in (-2, 0, 2):
@@ -43,7 +43,7 @@ class TestConv2d:
 
     def test_ones_border_counts(self):
         x = np.ones((1, 1, 5, 5), np.float32)
-        k = Kernel2D(np.ones((1, 1, 3, 3)), np.zeros(1))
+        k = Kernel2D(np.ones((1, 1, 3, 3)))
         out = conv2d(x, k, 1)[0, 0]
         assert out[2, 2] == 9.0
         assert out[0, 0] == 4.0
@@ -55,12 +55,12 @@ class TestConv2d:
             for ksize in ((1, 1), (3, 3), (5, 3)):
                 for d in (1, 2, 3, 5):
                     x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
-                    k = Kernel2D(RNG.standard_normal((3, 2, *ksize)), RNG.standard_normal(3))
+                    k = Kernel2D(RNG.standard_normal((3, 2, *ksize)))
                     out = conv2d(x, k, d)
                     np.testing.assert_allclose(out, reference_conv2d(x, k, d), atol=1e-5)
                     if d >= max(hw):
                         centre = Kernel2D(
-                            k.weights[:, :, ksize[0] // 2, ksize[1] // 2, None, None], k.bias
+                            k.weights[:, :, ksize[0] // 2, ksize[1] // 2, None, None]
                         )
                         np.testing.assert_allclose(out, conv2d(x, centre), atol=1e-5)
 
@@ -81,7 +81,7 @@ class TestConv2d:
             for ksize in ksizes:
                 for d in dilations:
                     x = RNG.standard_normal((2, 2, *hw)).astype(np.float32)
-                    k = Kernel2D(RNG.standard_normal((3, 2, *ksize)), RNG.standard_normal(3))
+                    k = Kernel2D(RNG.standard_normal((3, 2, *ksize)))
                     cases.append((x, k, d, conv2d(x, k, d)))  # one block per call
         for x, k, d, whole in cases:
             s = x.shape[3] + d * (k.weights.shape[3] - 1) // 2  # the row stride
@@ -98,7 +98,7 @@ class TestConv2d:
     def test_peak_memory_row_blocks(self, c, o, d):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((1, c, 128, 128)).astype(np.float32)
-        k = Kernel2D(rng.standard_normal((o, c, 3, 3)), rng.standard_normal(o))
+        k = Kernel2D(rng.standard_normal((o, c, 3, 3)))
         out_bytes = o * 128 * 128 * 4
         assert traced_peak(lambda: conv2d(x, k, d)) <= out_bytes + 2 * 2**20
 
@@ -107,7 +107,7 @@ class TestConv2d:
         # the original at interior sampled positions
         for _ in range(5):
             h = RNG.standard_normal((1, 2, 12, 12)).astype(np.float32)
-            k = Kernel2D(RNG.standard_normal((2, 2, 3, 3)), np.zeros(2))
+            k = Kernel2D(RNG.standard_normal((2, 2, 3, 3)))
             fine = conv2d(upsample(h, "nearest"), k, 2)
             coarse = conv2d(h, k, 1)
             np.testing.assert_allclose(
@@ -120,7 +120,7 @@ class TestConv2d:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            Kernel2D(np.zeros((1, 1, 2, 2)), np.zeros(1))
+            Kernel2D(np.zeros((1, 1, 2, 2)))
 
     def test_bad_dilation(self):
         with pytest.raises(ValueError, match="dilation"):
@@ -247,13 +247,13 @@ class TestSoftmaxRows:
 class TestLinear:
     def test_identity(self):
         x = RNG.standard_normal((3, 4)).astype(np.float32)
-        np.testing.assert_allclose(linear(x, np.eye(4), np.zeros(4)), x, atol=1e-6)
+        np.testing.assert_allclose(linear(x, np.eye(4)), x, atol=1e-6)
 
-    def test_affine_example(self):
-        out = linear(np.array([[1.0, 2.0]]), np.eye(2), np.array([3.0, 3.0]))
-        np.testing.assert_allclose(out, [[4.0, 5.0]], atol=1e-6)
+    def test_example(self):
+        out = linear(np.array([[1.0, 2.0]]), np.array([[1.0, 3.0], [2.0, 4.0]]))
+        np.testing.assert_allclose(out, [[5.0, 11.0]], atol=1e-6)
 
-    def test_linearity_without_bias(self):
+    def test_linearity(self):
         x = RNG.standard_normal((2, 3)).astype(np.float32)
         y = RNG.standard_normal((2, 3)).astype(np.float32)
         w = RNG.standard_normal((3, 5)).astype(np.float32)
