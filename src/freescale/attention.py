@@ -4,7 +4,6 @@ overlap-averaged reconstruction, and frequency-split scale fusion.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,17 +91,6 @@ class PatchGrid:
         """(top, left) corners in row-major order."""
         return [(r * self.stride_h, c * self.stride_w) for r, c in np.ndindex(self.shape)]
 
-    @property
-    @functools.cache  # keyed by the grid's fields, so equal grids share it
-    def cover(self) -> np.ndarray:
-        """How many crops cover each pixel, as a read-only float64 [H, W]
-        map."""
-        cover = np.zeros((self.height, self.width), dtype=np.float64)
-        for top, left in self.positions:
-            cover[top : top + self.window_h, left : left + self.window_w] += 1.0
-        cover.flags.writeable = False
-        return cover
-
 
 def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
     """Single-head self-attention over the H*W spatial tokens of each map in
@@ -162,8 +150,8 @@ def shifted_crop_sampling(h_in: np.ndarray, grid: PatchGrid) -> np.ndarray:
 
 def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """Reassemble an [N*P,C,h,w] crop stack (map-major, as
-    shifted_crop_sampling lays it out) onto [N,C,H,W] maps, averaging
-    overlapped pixels."""
+    shifted_crop_sampling lays it out) onto [N,C,H,W] maps, dividing each
+    pixel's float64 sum by the number of crops that cover it."""
     patches = as_f32(patches)
     if (patches.ndim != 4 or patches.shape[2:] != (grid.window_h, grid.window_w)
             or len(patches) % grid.count):
@@ -184,7 +172,13 @@ def reconstruct_average(patches: np.ndarray, grid: PatchGrid) -> np.ndarray:
     for dy in range(grid.window_h - 1, -1, -1):
         for dx in range(grid.window_w - 1, -1, -1):
             acc[:, :, dy : dy + rows * sh : sh, dx : dx + cols * sw : sw] += stacks[:, :, dy, dx]
-    acc /= grid.cover
+    # a pixel's crop count is its row's count times its column's
+    row_count, col_count = np.zeros(grid.height), np.zeros(grid.width)
+    for dy in range(grid.window_h):
+        row_count[dy : dy + rows * sh : sh] += 1.0
+    for dx in range(grid.window_w):
+        col_count[dx : dx + cols * sw : sw] += 1.0
+    acc /= np.outer(row_count, col_count)
     return acc.astype(np.float32)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .attention import AttentionWeights, FusionConfig, fused_attention, self_attention
-from .tensor_ops import Kernel2D, as_f32, conv2d, linear, tile_rows
+from .tensor_ops import Kernel2D, as_f32, conv2d, linear
 
 
 # The UNet's depth: two stride-2 down blocks and their mirrored up blocks.
@@ -148,20 +148,15 @@ def _channel_norm(h: np.ndarray) -> np.ndarray:
     map h, which is returned; keeps activations O(1) so the sampler stays
     stable at any resolution.
 
-    Runs in blocks of rows, so the two float64 buffers (the block and its
-    squares) are one block at a time and not the whole map; each position's
-    channel sum is unchanged. The float64 quotient is rounded once, on the
-    write back.
+    einsum sums the exact float64 squares channel by channel, and the divide
+    casts h to float64 one buffer at a time, so no float64 copy of the map
+    exists; the quotient is rounded once, on the write back.
     """
-    n, c, hh, ww = h.shape
-    rows = tile_rows(hh, 2 * n * c * ww * 8)
-    for r0 in range(0, hh, rows):
-        blk = h[:, :, r0 : r0 + rows]
-        x = blk.astype(np.float64)
-        rms = np.sqrt(np.mean(np.square(x), axis=1, keepdims=True) + 1e-5)
-        x /= rms
-        blk[...] = x
-    return h
+    ms = np.einsum("nchw,nchw->nhw", h, h, dtype=np.float64)[:, None]
+    ms /= h.shape[1]
+    ms += 1e-5
+    np.sqrt(ms, out=ms)
+    return np.divide(h, ms, out=h, dtype=np.float64, casting="same_kind")
 
 
 def _time_embedding(t: int, dim: int) -> np.ndarray:

@@ -168,8 +168,10 @@ class CascadeConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "CascadeConfig":
         unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        if unknown:  # cut short, so a huge key or key list cannot flood stderr
+            shown = ", ".join(k if len(k) <= 40 else k[:37] + "..." for k in unknown[:5])
+            more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
+            raise ConfigError(f"unknown config keys: {shown}{more}")
         return cls(**raw)
 
 

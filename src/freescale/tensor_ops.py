@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The one tile budget: conv2d (output rows), channel norm (map rows) and
-# self_attention (whole maps, then query rows) run in tiles whose float64
-# working set stays within TILE_BYTES; 512 KiB keeps each GEMM at full
-# speed.
+# The one tile budget: conv2d (output rows) and self_attention (whole maps,
+# then query rows) run in tiles whose float64 working set stays within
+# TILE_BYTES; 512 KiB keeps each GEMM at full speed.
 TILE_BYTES = 1 << 19
 
 # The fusion low-pass filters, named by mode. Their widths are constants of

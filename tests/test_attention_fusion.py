@@ -241,17 +241,12 @@ class TestReconstructAverage:
         PatchGrid(8, 8, 8, 8, 8, 8),
     ], ids=["half-window", "rectangular", "single-crop"])
     def test_cover_counts_crops(self, grid):
-        # the cover is built once per grid value and read-only
-        ys, xs = np.mgrid[: grid.height, : grid.width]
-        count = sum(((ys >= top) & (ys < top + grid.window_h)
-                     & (xs >= left) & (xs < left + grid.window_w)).astype(np.float64)
-                    for top, left in grid.positions)
-        cover = grid.cover
-        assert cover.dtype == np.float64 and not cover.flags.writeable
-        assert np.array_equal(cover, count)
-        same = PatchGrid(grid.height, grid.width, grid.window_h, grid.window_w,
-                         grid.stride_h, grid.stride_w)
-        assert same.cover is cover
+        # all-ones crops average to one only where every pixel's sum is
+        # divided by the count of crops that cover it
+        ones = np.ones((2 * grid.count, 3, grid.window_h, grid.window_w), dtype=np.float32)
+        out = reconstruct_average(ones, grid)
+        assert out.shape == (2, 3, grid.height, grid.width)
+        assert np.array_equal(out, np.ones_like(out))
 
 
 class TestScaleFusion:

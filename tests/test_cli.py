@@ -229,11 +229,13 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg), *extra]) == 2
         assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid UTF-8 JSON")
 
-    # an error message shows a rejected value as a repr cut short
+    # an error message shows a rejected value as a repr cut short, and
+    # unknown keys as a few keys, each cut short, and how many more there are
     @pytest.mark.parametrize(
         "overrides",
-        [{"prompt": [0] * 10**6}, {"levels": [0] * 10**6}, {"levels": [1, 2.5] + [0] * 10**6}],
-        ids=["prompt", "levels-doubling", "levels-integers"],
+        [{"prompt": [0] * 10**6}, {"levels": [0] * 10**6}, {"levels": [1, 2.5] + [0] * 10**6},
+         {"k" * 10**6: 1}, {f"k{i}": 1 for i in range(10**5)}],
+        ids=["prompt", "levels-doubling", "levels-integers", "long-key", "many-keys"],
     )
     def test_huge_rejected_value_exits_2_briefly(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from freescale import denoiser, tensor_ops
+from freescale import denoiser
 from freescale.attention import AttentionWeights, FusionConfig
 from freescale.denoiser import (
     UNetConfig,
@@ -214,14 +214,13 @@ class TestElementwise:
     def old_silu(x):
         return (x * 0.5 * (1.0 + np.tanh(0.5 * x))).astype(np.float32)
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, None])
-    def test_channel_norm_bitwise_in_row_tiles(self, monkeypatch, rows):
+    # one channel and an all-zero map are the edges of the channel sum
+    @pytest.mark.parametrize("channels, scale", [(16, 1.0), (1, 1.0), (16, 0.0)],
+                             ids=["mixed-magnitudes", "one-channel", "zeros"])
+    def test_channel_norm_bitwise(self, channels, scale):
         rng = np.random.default_rng(43)
-        mags = 10.0 ** rng.uniform(-20, 20, (2, 16, 7, 6))
-        h = (rng.standard_normal(mags.shape) * mags).astype(np.float32)
-        if rows is not None:
-            row_bytes = 2 * (2 * 16 * 6 * 8)  # the float64 block and its squares
-            monkeypatch.setattr(tensor_ops, "TILE_BYTES", rows * row_bytes + row_bytes - 1)
+        mags = 10.0 ** rng.uniform(-20, 20, (2, channels, 7, 6))
+        h = (rng.standard_normal(mags.shape) * mags * scale).astype(np.float32)
         expected = self.old_channel_norm(h)  # before the norm overwrites h
         out = _channel_norm(h)
         assert out.dtype == np.float32
