@@ -44,13 +44,11 @@ class UNetConfig:
         return [self.base_width * 2**i for i in range(DOWN_BLOCKS + 1)]
 
 
-def group_dilation(factor: int, step: int, total: int) -> dict:
-    """Restrained dilation's per-group map for DDIM step `step` (0-based) of
-    `total`: factor in the down and mid blocks, never in the up blocks
-    (dilating them smears textures), and 1 for the final
-    DILATION_STOP_FRACTION of the steps."""
-    d = factor if step < (1.0 - DILATION_STOP_FRACTION) * total else 1
-    return {"down": d, "mid": d, "up": 1}
+def restrained_dilation(factor: int, step: int, total: int) -> int:
+    """Restrained dilation's factor for DDIM step `step` (0-based) of
+    `total`: `factor`, or 1 for the final DILATION_STOP_FRACTION of the
+    steps. predict_noise dilates only its down and mid blocks by it."""
+    return factor if step < (1.0 - DILATION_STOP_FRACTION) * total else 1
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,8 @@ def _conv_block(h, e, block: Block, dilation: int) -> np.ndarray:
     The norm overwrites the input map h, so callers pass a map they do not
     keep; one passed straight in, held by no caller, is freed once conv_a
     has read it. The embedding rows e are only read."""
-    h = _silu(conv2d(_channel_norm(h), block.conv_a, dilation))
+    h = conv2d(_channel_norm(h), block.conv_a, dilation)  # drops the input
+    h = _silu(h)
     h = h + linear(e, block.emb)[:, :, None, None]
     return _silu(conv2d(h, block.conv_b, dilation))
 
@@ -215,17 +214,18 @@ def predict_noise(
     t: int,
     cond: np.ndarray,
     weights: WeightSet,
-    dilation: dict | None = None,
+    dilation: int = 1,
     fusion: FusionConfig | None = None,
 ) -> np.ndarray:
     """Forward pass of the toy UNet over one latent [1,C,H,W] and N cond rows
     [N, cond_dim]: map n of the [N,C,H,W] output equals its N = 1 run. The
     layers before the first embedding add run once, on the one latent row.
 
-    dilation maps each block group ("down", "mid", "up") to the dilation of
-    its convolutions (group_dilation gives the restrained map); a missing
-    map or group means dilation 1. When a fusion config is
-    present the mid self-attention layer is replaced by fused_attention.
+    dilation is restrained dilation's factor (restrained_dilation gives it
+    per step): the down and mid blocks convolve at it. The stem, the up
+    blocks and the head convolve at 1 whatever it is, because dilated up
+    blocks smear textures. When a fusion config is present the mid
+    self-attention layer is replaced by fused_attention.
     """
     cfg = weights.config
     z_t = as_f32(z_t)
@@ -242,8 +242,6 @@ def predict_noise(
     if cond.ndim != 2 or len(cond) < 1 or cond.shape[1] != cfg.cond_dim:
         raise ValueError(f"cond must have shape [N, {cfg.cond_dim}], N >= 1, got {cond.shape}")
 
-    dilation = dilation or {}
-
     emb = _time_embedding(t, cfg.time_embedding_dim)
     e = np.concatenate([np.tile(emb, (len(cond), 1)), cond], axis=1)
     fc1, fc2 = weights.temb
@@ -252,18 +250,18 @@ def predict_noise(
     h = conv2d(z_t, weights.stem, 1)
     skips = []
     for block in weights.down:
-        h = _conv_block(h, e, block, dilation.get("down", 1))
+        h = _conv_block(h, e, block, dilation)
         skips.append(h)
         h = _avg_pool2(h)
 
-    h = _conv_block(h, e, weights.mid, dilation.get("mid", 1))
+    h = _conv_block(h, e, weights.mid, dilation)
     if fusion is not None:
         h += fused_attention(h, weights.attn, fusion)
     else:
         h += self_attention(h, weights.attn)
 
     for block in weights.up:
-        h = _conv_block(_up_input(h, skips.pop()), e, block, dilation.get("up", 1))
+        h = _conv_block(_up_input(h, skips.pop()), e, block, 1)
 
     return conv2d(_channel_norm(h), weights.head, 1)
 

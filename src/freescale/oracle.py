@@ -10,14 +10,14 @@ without touching production code paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .attention import (AttentionWeights, PatchGrid, reconstruct_average, scale_fusion,
                         self_attention, shifted_crop_sampling)
-from .denoiser import UNetConfig, group_dilation, init_weights, predict_noise
+from .denoiser import UNetConfig, init_weights, predict_noise
 from .scheduler import decay_factor, ddim_step, forward_noise, make_schedule
 from .tensor_ops import (BLUR_MODES, IDEAL_CUTOFF, Kernel2D, as_f32, conv2d, gaussian_taps, linear,
                          lowpass, upsample)
@@ -115,9 +115,26 @@ def reference_self_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
     return out.transpose(0, 2, 1).reshape(n, c, hh, ww)
 
 
-def check_conv(mutate_dilate_up: bool = False) -> CheckResult:
-    """Convolution oracle: brute-force agreement, dilation/upsampling
-    commutation, and the restrained-dilation policy (up blocks undilated).
+def zero_inserted(kernel: Kernel2D, dilation: int) -> Kernel2D:
+    """The kernel a dilated convolution is by definition: dilation - 1 zero
+    rows and columns between adjacent taps, run at dilation 1."""
+    o, c, kh, kw = kernel.weights.shape
+    w = np.zeros((o, c, dilation * (kh - 1) + 1, dilation * (kw - 1) + 1), np.float32)
+    w[:, :, ::dilation, ::dilation] = kernel.weights
+    return Kernel2D(w)
+
+
+def _zero_inserted_block(block, dilation: int):
+    return replace(block, conv_a=zero_inserted(block.conv_a, dilation),
+                   conv_b=zero_inserted(block.conv_b, dilation))
+
+
+def check_conv(conv_fn=conv2d, forward_fn=predict_noise) -> CheckResult:
+    """Convolution oracle: brute-force agreement, the order of the taps,
+    dilation/upsampling commutation, and restrained dilation against its
+    definition. forward_fn at factor 2 must equal the undilated forward on
+    weights whose down and mid kernels are zero-inserted, so the up blocks
+    stay undilated.
     """
     rng = np.random.default_rng(7)
     max_dev = 0.0
@@ -127,31 +144,38 @@ def check_conv(mutate_dilate_up: bool = False) -> CheckResult:
     for (kh, kw), d, (h, w) in cases:
         x = rng.standard_normal((2, 2, h, w)).astype(np.float32)
         k = Kernel2D(rng.standard_normal((3, 2, kh, kw)))
-        dev = float(np.max(np.abs(conv2d(x, k, d) - reference_conv2d(x, k, d))))
+        dev = float(np.max(np.abs(conv_fn(x, k, d) - reference_conv2d(x, k, d))))
+        max_dev = max(max_dev, dev)
+    # tap order: on one input channel of +-2**60 and +-1 with +-1 kernels
+    # each tap's product is exact, so only the order across taps moves the
+    # float64 sum: (2**60 + 1) - 2**60 is 0, but (2**60 - 2**60) + 1 is 1.
+    # Every sum is an integer, so any deviation is at least 1
+    for (kh, kw), d in (((3, 3), 1), ((3, 3), 2), ((3, 3), 3), ((5, 3), 1)):
+        x = rng.choice([-(2.0**60), -1.0, 1.0, 2.0**60], (2, 1, 7, 11)).astype(np.float32)
+        k = Kernel2D(rng.choice([-1.0, 1.0], (3, 1, kh, kw)))
+        dev = float(np.max(np.abs(conv_fn(x, k, d) - reference_conv2d(x, k, d))))
         max_dev = max(max_dev, dev)
     # commutation: dilated conv on nearest-upsampled input matches standard
     # conv on the original at interior sampled positions
     for _ in range(5):
         h = rng.standard_normal((1, 2, 12, 12)).astype(np.float32)
         k = Kernel2D(rng.standard_normal((2, 2, 3, 3)))
-        fine = conv2d(upsample(h, "nearest"), k, 2)
-        coarse = conv2d(h, k, 1)
+        fine = conv_fn(upsample(h, "nearest"), k, 2)
+        coarse = conv_fn(h, k, 1)
         interior = slice(1, 11)
         dev = float(
             np.max(np.abs(fine[:, :, 2:22:2, 2:22:2] - coarse[:, :, interior, interior]))
         )
         max_dev = max(max_dev, dev)
-    # policy restraint: a policy run must equal an explicit per-group
-    # reference with up blocks at dilation 1
+    # restraint: the down and mid blocks dilate, the up blocks do not
     cfg = UNetConfig(latent_channels=3, base_width=8, time_embedding_dim=16, cond_dim=8)
     weights = init_weights(cfg, 11)
     z = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
     cond = rng.standard_normal((1, 8)).astype(np.float32)
-    dilation = group_dilation(2, 0, 10)
-    if mutate_dilate_up:
-        dilation = dict(dilation, up=2)
-    got = predict_noise(z, 500, cond, weights, dilation)
-    ref = predict_noise(z, 500, cond, weights, {"down": 2, "mid": 2, "up": 1})
+    dilated = replace(weights, down=tuple(_zero_inserted_block(b, 2) for b in weights.down),
+                      mid=_zero_inserted_block(weights.mid, 2))
+    got = forward_fn(z, 500, cond, weights, 2)
+    ref = predict_noise(z, 500, cond, dilated, dilation=1)
     max_dev = max(max_dev, float(np.max(np.abs(got - ref))))
     return CheckResult("conv", max_dev < 1e-5, max_dev)
 
@@ -272,6 +296,19 @@ def _unscaled_attention(x, w):
     return self_attention(x, AttentionWeights(w.w_q * np.sqrt(w.dim), w.w_k, w.w_v, w.w_o))
 
 
+def _reversed_tap_conv(x, kernel, dilation):
+    # the taps summed in reverse order: conv2d on the map and kernel turned
+    # by 180 degrees is the same convolution, turned
+    turned = Kernel2D(kernel.weights[:, :, ::-1, ::-1])
+    return conv2d(as_f32(x)[:, :, ::-1, ::-1], turned, dilation)[:, :, ::-1, ::-1]
+
+
+def _up_dilating_forward(z, t, cond, weights, dilation):
+    # the up blocks dilated too, by zero-inserting their kernels
+    up = tuple(_zero_inserted_block(b, dilation) for b in weights.up)
+    return predict_noise(z, t, cond, replace(weights, up=up), dilation)
+
+
 def _upward_overlap_average(patches, grid):
     # the in-window offsets walked upward, which adds each pixel's crops in
     # reverse row-major order; so does reconstruct_average on the maps and
@@ -286,9 +323,10 @@ CHECKS = {"conv": check_conv, "ddim": check_ddim, "fusion": check_fusion,
 # name -> (the check it must break, that check run on a known-bad variant)
 MUTATIONS = {
     "fusion-sign": ("fusion", partial(check_fusion, fusion_fn=_mutated_fusion)),
-    "dilate-up": ("conv", partial(check_conv, mutate_dilate_up=True)),
+    "dilate-up": ("conv", partial(check_conv, forward_fn=_up_dilating_forward)),
     "attention-scale": ("attention", partial(check_attention, attention_fn=_unscaled_attention)),
     "overlap-order": ("patch", partial(check_patch, average_fn=_upward_overlap_average)),
+    "conv-tap-order": ("conv", partial(check_conv, conv_fn=_reversed_tap_conv)),
 }
 
 

@@ -25,10 +25,10 @@ from .denoiser import (
     UNetConfig,
     WeightSet,
     cfg_combine,
-    group_dilation,
     init_weights,
     predict_noise,
     prompt_embedding,
+    restrained_dilation,
 )
 from .scheduler import (
     MIN_ALPHA,
@@ -221,7 +221,7 @@ def _denoise_loop(
     sched: NoiseSchedule,
     weights: WeightSet,
     config: CascadeConfig,
-    dilation_factor: int = 1,
+    dilation: int = 1,
     fusion: FusionConfig | None = None,
     anchor: np.ndarray | None = None,
     anchor_noise: np.ndarray | None = None,
@@ -235,8 +235,7 @@ def _denoise_loop(
     for i, t in enumerate(timesteps):
         t = int(t)
         t_prev = int(timesteps[i + 1]) if i + 1 < total else 0
-        dilation = group_dilation(dilation_factor, i, total)
-        eps = predict_noise(z, t, conds, weights, dilation, fusion)
+        eps = predict_noise(z, t, conds, weights, restrained_dilation(dilation, i, total), fusion)
         eps = cfg_combine(eps[:1], eps[1:], config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
         del eps  # the next forward does not hold this step's eps
@@ -303,7 +302,7 @@ def cascade_level(
         sched,
         weights,
         config,
-        dilation_factor=level if config.dilation_enabled else 1,
+        dilation=level if config.dilation_enabled else 1,
         fusion=fusion,
         anchor=phi,
         anchor_noise=anchor_noise,

@@ -307,6 +307,11 @@ class TestOracle:
         assert main(["oracle", "--check", check, "--mutate", "overlap-order"]) == 1
         assert "check_patch=fail" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("check", ["all", "attention"])
+    def test_conv_tap_order_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "conv-tap-order"]) == 1
+        assert "check_conv=fail" in capsys.readouterr().out
+
 
 class TestFileio:
     def test_pgm_round_trip(self, tmp_path):

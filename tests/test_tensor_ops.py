@@ -3,7 +3,8 @@ import pytest
 
 from conftest import traced_peak
 from freescale import tensor_ops
-from freescale.oracle import reference_conv2d, reference_lowpass, reference_softmax_rows
+from freescale.oracle import (reference_conv2d, reference_lowpass, reference_softmax_rows,
+                              zero_inserted)
 from freescale.tensor_ops import (
     BLUR_MODES,
     Kernel2D,
@@ -101,6 +102,16 @@ class TestConv2d:
         k = Kernel2D(rng.standard_normal((o, c, 3, 3)))
         out_bytes = o * 128 * 128 * 4
         assert traced_peak(lambda: conv2d(x, k, d)) <= out_bytes + 2 * 2**20
+
+    # the definition of a dilated convolution, which check_conv's restraint
+    # case relies on: the zero taps add exact zeros in between
+    @pytest.mark.parametrize("ksize", [(3, 3), (5, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_zero_insertion_is_dilation(self, ksize, d):
+        rng = np.random.default_rng(71)
+        x = rng.standard_normal((2, 3, 9, 12)).astype(np.float32)
+        k = Kernel2D(rng.standard_normal((4, 3, *ksize)))
+        assert np.array_equal(conv2d(x, k, d), conv2d(x, zero_inserted(k, d), 1))
 
     def test_dilation_upsample_commutation(self):
         # dilated conv on a nearest-upsampled map matches standard conv on
