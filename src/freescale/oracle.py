@@ -17,7 +17,7 @@ import numpy as np
 
 from .attention import (AttentionWeights, PatchGrid, reconstruct_average, scale_fusion,
                         self_attention, shifted_crop_sampling)
-from .denoiser import UNetConfig, init_weights, predict_noise
+from .denoiser import UNetConfig, cfg_combine, init_weights, predict_noise
 from .scheduler import decay_factor, ddim_step, forward_noise, make_schedule
 from .tensor_ops import (BLUR_MODES, IDEAL_CUTOFF, Kernel2D, as_f32, conv2d, gaussian_taps, linear,
                          lowpass, upsample)
@@ -180,8 +180,12 @@ def check_conv(conv_fn=conv2d, forward_fn=predict_noise) -> CheckResult:
     return CheckResult("conv", max_dev < 1e-5, max_dev)
 
 
-def check_ddim() -> CheckResult:
-    """Forward-noise then step-to-zero must recover the clean latent."""
+def check_ddim(guidance_fn=cfg_combine) -> CheckResult:
+    """Forward-noise then step-to-zero must recover the clean latent, and
+    guidance must agree bitwise with its documented order, (c - u) * s + u
+    in float64 rounded once. At s = 1 on u = +-2**60 and c = +-1 that is
+    (c - u) + u = 0 everywhere, where s * c + (1 - s) * u gives c.
+    """
     sched = make_schedule(1000, 50)
     rng = np.random.default_rng(13)
     max_dev = 0.0
@@ -192,13 +196,23 @@ def check_ddim() -> CheckResult:
             z_t = forward_noise(z0, t, eps, sched)
             back = ddim_step(z_t, eps, t, 0, sched)
             max_dev = max(max_dev, float(np.max(np.abs(back - z0))))
-    return CheckResult("ddim", max_dev < 1e-4, max_dev)
+    u = rng.choice([-(2.0**60), 2.0**60], (1, 4, 16, 16)).astype(np.float32)
+    c = rng.choice([-1.0, 1.0], u.shape).astype(np.float32)
+    u64, scale = u.astype(np.float64), 1.0
+    ref = ((c.astype(np.float64) - u64) * scale + u64).astype(np.float32)
+    exact_dev = float(np.max(np.abs(guidance_fn(u, c, scale) - ref)))
+    return CheckResult("ddim", max_dev < 1e-4 and exact_dev == 0.0, max(max_dev, exact_dev))
 
 
 def check_fusion(fusion_fn=scale_fusion) -> CheckResult:
     """DFT projection oracle: the fused map's low band must match the local
     branch and its high band the global branch, coefficient-wise. The bands
-    come from reference_lowpass, not from the low-pass under test.
+    come from reference_lowpass, not from the low-pass under test. In both
+    filter modes the fusion must also agree bitwise with its documented
+    grouping, (g - lowpass(g)) + lowpass(l) in float64 rounded once, on
+    global maps of 2**60, which each filter returns unchanged, and local
+    maps of +-1: g + (lowpass(l) - lowpass(g)) loses the local band to the
+    rounding at 2**60.
     """
     blur = "ideal_lowpass"
     band = partial(reference_lowpass, mode=blur)
@@ -211,7 +225,14 @@ def check_fusion(fusion_fn=scale_fusion) -> CheckResult:
         low_dev = np.max(np.abs(band(fused) - band(l)))
         high_dev = np.max(np.abs((fused - band(fused)) - (g - band(g))))
         max_dev = max(max_dev, float(low_dev), float(high_dev))
-    return CheckResult("fusion", max_dev < 1e-5, max_dev)
+    exact_dev = 0.0
+    for mode, side in itertools.product(BLUR_MODES, (8, 16, 32)):
+        g = np.full((1, 4, side, side), 2.0**60, np.float32)
+        l = rng.choice([-1.0, 1.0], g.shape).astype(np.float32)
+        g_low, l_low = (reference_lowpass(m, mode).astype(np.float64) for m in (g, l))
+        ref = ((g.astype(np.float64) - g_low) + l_low).astype(np.float32)
+        exact_dev = max(exact_dev, float(np.max(np.abs(fusion_fn(g, l, mode) - ref))))
+    return CheckResult("fusion", max_dev < 1e-5 and exact_dev == 0.0, max(max_dev, exact_dev))
 
 
 def check_attention(attention_fn=self_attention) -> CheckResult:
@@ -291,6 +312,18 @@ def _mutated_fusion(g, l, blur):
     ).astype(np.float32)
 
 
+def _regrouped_fusion(g, l, blur):
+    # the low bands subtracted first: g + (G(l) - G(g))
+    lows = lowpass(l, blur).astype(np.float64) - lowpass(g, blur).astype(np.float64)
+    return (g.astype(np.float64) + lows).astype(np.float32)
+
+
+def _weighted_guidance(eps_uncond, eps_cond, scale):
+    # guidance as a weighted sum: s * c + (1 - s) * u
+    return (scale * eps_cond.astype(np.float64)
+            + (1.0 - scale) * eps_uncond.astype(np.float64)).astype(np.float32)
+
+
 def _unscaled_attention(x, w):
     # the 1/sqrt(C) score scale dropped: q scaled by sqrt(C) cancels it
     return self_attention(x, AttentionWeights(w.w_q * np.sqrt(w.dim), w.w_k, w.w_v, w.w_o))
@@ -327,6 +360,8 @@ MUTATIONS = {
     "attention-scale": ("attention", partial(check_attention, attention_fn=_unscaled_attention)),
     "overlap-order": ("patch", partial(check_patch, average_fn=_upward_overlap_average)),
     "conv-tap-order": ("conv", partial(check_conv, conv_fn=_reversed_tap_conv)),
+    "cfg-order": ("ddim", partial(check_ddim, guidance_fn=_weighted_guidance)),
+    "fusion-grouping": ("fusion", partial(check_fusion, fusion_fn=_regrouped_fusion)),
 }
 
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import reprlib
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import isfinite
 from typing import ClassVar
@@ -223,9 +224,7 @@ def _denoise_loop(
     config: CascadeConfig,
     dilation: int = 1,
     fusion: FusionConfig | None = None,
-    anchor: np.ndarray | None = None,
-    anchor_noise: np.ndarray | None = None,
-    alpha: np.ndarray | None = None,
+    blend: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> np.ndarray:
     # both guidance branches run as one batch of two cond rows over the one
     # latent: row 0 unconditional, row 1 conditional
@@ -239,10 +238,8 @@ def _denoise_loop(
         eps = cfg_combine(eps[:1], eps[1:], config.guidance_scale)
         z = ddim_step(z, eps, t, t_prev, sched)
         del eps  # the next forward does not hold this step's eps
-        if alpha is not None and t_prev > 0:
-            # the noised anchor lives only inside the blend
-            z = detail_blend(forward_noise(anchor, t_prev, anchor_noise, sched), z,
-                             t_prev, alpha, sched)
+        if blend is not None and t_prev > 0:
+            z = blend(z, t_prev)
         _check_finite(z, f"latent at timestep {t_prev}")
     return z
 
@@ -291,22 +288,22 @@ def cascade_level(
     anchor_noise = rng.standard_normal(phi.shape).astype(np.float32)
     timesteps = sched.injection_timesteps(config.injection_step)
 
-    fusion = config.fusion() if config.fusion_enabled else None
-    alpha = _alpha_map(config, *phi.shape[2:], mask) if config.blend_enabled else None
+    blend = None
+    if config.blend_enabled:
+        alpha = _alpha_map(config, *phi.shape[2:], mask)
+
+        def blend(z, t_prev):  # the noised anchor lives only inside the blend
+            anchor = forward_noise(phi, t_prev, anchor_noise, sched)
+            return detail_blend(anchor, z, t_prev, alpha, sched)
 
     # the latent carries the noise level the sampler's first step assumes; it
     # goes straight into the loop, so no frame here keeps it past step one
     return _denoise_loop(
         forward_noise(phi, timesteps[0], anchor_noise, sched),
-        timesteps,
-        sched,
-        weights,
-        config,
+        timesteps, sched, weights, config,
         dilation=level if config.dilation_enabled else 1,
-        fusion=fusion,
-        anchor=phi,
-        anchor_noise=anchor_noise,
-        alpha=alpha,
+        fusion=config.fusion() if config.fusion_enabled else None,
+        blend=blend,
     )
 
 

@@ -11,25 +11,27 @@ import numpy as np
 
 from .tensor_ops import as_f32
 
-# Length of the diffusion the frozen model was trained on; the fixed betas
-# below span it.
+# Length of the diffusion the frozen model was trained on; the fixed
+# schedule below spans it.
 TOTAL_TIMESTEPS = 1000
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    total_steps: int
-    betas: np.ndarray
+    """alpha_bars[t] is the cumulative alpha at timestep t = 0..T, where
+    alpha_bars[0] = 1; ddim_timesteps is the descending DDIM subsequence."""
+
     alpha_bars: np.ndarray
     ddim_timesteps: np.ndarray
 
+    @property
+    def total_steps(self) -> int:
+        return len(self.alpha_bars) - 1
+
     def alpha_bar(self, t: int) -> float:
-        """Cumulative alpha at timestep t; alpha_bar(0) is defined as 1."""
         if t < 0 or t > self.total_steps:
             raise ValueError(f"timestep {t} outside [0, {self.total_steps}]")
-        if t == 0:
-            return 1.0
-        return float(self.alpha_bars[t - 1])
+        return float(self.alpha_bars[t])
 
     def injection_timesteps(self, injection_step: int) -> list[int]:
         """The DDIM timesteps at or below injection_step: a cascade level
@@ -40,21 +42,17 @@ class NoiseSchedule:
 
 
 def make_schedule(total_steps: int, steps: int) -> NoiseSchedule:
-    """Scaled-linear beta schedule (sqrt(beta) linearly spaced from 0.00085
-    to 0.012, then squared) with an evenly spaced descending DDIM timestep
-    subsequence starting at T.
+    """The running product of a scaled-linear beta schedule (sqrt(beta)
+    linearly spaced from sqrt(0.00085) to sqrt(0.012), then squared), with an
+    evenly spaced descending DDIM timestep subsequence starting at T.
     """
     if not 1 <= steps <= total_steps:
         raise ValueError(f"steps must lie in [1, {total_steps}], got {steps}")
     betas = np.linspace(np.sqrt(0.00085), np.sqrt(0.012), total_steps, dtype=np.float64) ** 2
     stride = total_steps // steps
     timesteps = total_steps - stride * np.arange(steps, dtype=np.int64)
-    return NoiseSchedule(
-        total_steps=int(total_steps),
-        betas=betas,
-        alpha_bars=np.cumprod(1.0 - betas),
-        ddim_timesteps=timesteps,
-    )
+    alpha_bars = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
+    return NoiseSchedule(alpha_bars=alpha_bars, ddim_timesteps=timesteps)
 
 
 def forward_noise(z0: np.ndarray, t: int, noise: np.ndarray, sched: NoiseSchedule) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freescale import cli, fileio
+from freescale import cli, fileio, oracle
 from freescale.cli import main
 from freescale.pipeline import CascadeConfig, ConfigError, NumericError
 
@@ -311,6 +311,21 @@ class TestOracle:
     def test_conv_tap_order_mutation_detected(self, capsys, check):
         assert main(["oracle", "--check", check, "--mutate", "conv-tap-order"]) == 1
         assert "check_conv=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["all", "patch"])
+    def test_cfg_order_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "cfg-order"]) == 1
+        assert "check_ddim=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["all", "conv"])
+    def test_fusion_grouping_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "fusion-grouping"]) == 1
+        assert "check_fusion=fail" in capsys.readouterr().out
+
+    def test_every_mutation_has_a_test(self):
+        tested = {name.removeprefix("test_").removesuffix("_mutation_detected").replace("_", "-")
+                  for name in dir(self) if name.endswith("_mutation_detected")}
+        assert tested == set(oracle.MUTATIONS)
 
 
 class TestFileio:

@@ -15,13 +15,7 @@ RNG = np.random.default_rng(42)
 
 def schedule_with_alpha_bar(ab):
     """Single-step schedule whose alpha_bar(1) equals the given value."""
-    beta = 1.0 - ab
-    return NoiseSchedule(
-        total_steps=1,
-        betas=np.array([beta]),
-        alpha_bars=np.array([ab]),
-        ddim_timesteps=np.array([1]),
-    )
+    return NoiseSchedule(alpha_bars=np.array([1.0, ab]), ddim_timesteps=np.array([1]))
 
 
 class TestMakeSchedule:
@@ -39,17 +33,21 @@ class TestMakeSchedule:
         assert sched.alpha_bar(1) == pytest.approx(1.0 - 0.00085)
 
     def test_running_product_oracle(self):
+        # the documented betas: sqrt(beta) linearly spaced from sqrt(0.00085)
+        # to sqrt(0.012), then squared
         sched = make_schedule(1000, 50)
+        lo, hi = np.sqrt(0.00085), np.sqrt(0.012)
         prod = 1.0
-        for b in sched.betas:
-            prod *= 1.0 - b
+        for i in range(1000):
+            prod *= 1.0 - (lo + (hi - lo) * i / 999) ** 2
         assert abs(sched.alpha_bar(1000) - prod) < 1e-6
 
     def test_alpha_bar_monotone(self):
         for steps in (10, 37, 50):
             sched = make_schedule(500, steps)
             assert np.all(np.diff(sched.alpha_bars) < 0)
-            assert sched.alpha_bars[-1] < sched.alpha_bars[0] < 1.0
+            assert sched.alpha_bars[0] == 1.0
+            assert sched.alpha_bars[-1] < sched.alpha_bars[1] < 1.0
 
     def test_parameter_validation(self):
         for steps in (0, 20):
