@@ -22,18 +22,12 @@ class AttentionWeights:
     w_o: np.ndarray
 
     def __post_init__(self):
-        mats = {}
-        dim = None
+        dim = np.shape(self.w_q)[0] if np.ndim(self.w_q) else 0
         for name in ("w_q", "w_k", "w_v", "w_o"):
             m = as_f32(getattr(self, name))
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {m.shape}")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValueError("attention matrices must share one dimension")
-            mats[name] = m
-        for name, m in mats.items():
+            if m.shape != (dim, dim):
+                raise ValueError(f"{name} must be {dim}x{dim}, as w_q has {dim} rows; "
+                                 f"got shape {m.shape}")
             object.__setattr__(self, name, m)
 
     @property
@@ -125,9 +119,8 @@ def self_attention(h_in: np.ndarray, weights: AttentionWeights) -> np.ndarray:
             scores = q[:, r0:r1] @ k_t
             scores /= scale
             scores = scores.astype(np.float32)
-            scores = softmax_rows(scores.reshape((m1 - m0) * (r1 - r0), t))
-            np.matmul(scores.reshape(m1 - m0, r1 - r0, t).astype(np.float64), v,
-                      out=attn[:, r0:r1])
+            scores = softmax_rows(scores)
+            np.matmul(scores.astype(np.float64), v, out=attn[:, r0:r1])
         del q, k, v, k_t  # free them before the output projection allocates
         out[m0:m1] = linear(attn.astype(np.float32), weights.w_o).transpose(0, 2, 1)
     return out.reshape(h_in.shape)

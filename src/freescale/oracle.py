@@ -18,7 +18,7 @@ import numpy as np
 from .attention import (AttentionWeights, PatchGrid, reconstruct_average, scale_fusion,
                         self_attention, shifted_crop_sampling)
 from .denoiser import UNetConfig, cfg_combine, init_weights, predict_noise
-from .scheduler import decay_factor, ddim_step, forward_noise, make_schedule
+from .scheduler import decay_factor, ddim_step, detail_blend, forward_noise, make_schedule
 from .tensor_ops import (BLUR_MODES, IDEAL_CUTOFF, Kernel2D, as_f32, conv2d, gaussian_taps, linear,
                          lowpass, upsample)
 
@@ -180,11 +180,17 @@ def check_conv(conv_fn=conv2d, forward_fn=predict_noise) -> CheckResult:
     return CheckResult("conv", max_dev < 1e-5, max_dev)
 
 
-def check_ddim(guidance_fn=cfg_combine) -> CheckResult:
+def check_ddim(guidance_fn=cfg_combine, noise_fn=forward_noise, step_fn=ddim_step) -> CheckResult:
     """Forward-noise then step-to-zero must recover the clean latent, and
-    guidance must agree bitwise with its documented order, (c - u) * s + u
-    in float64 rounded once. At s = 1 on u = +-2**60 and c = +-1 that is
-    (c - u) + u = 0 everywhere, where s * c + (1 - s) * u gives c.
+    each float64 expression must agree bitwise with its documented grouping,
+    rounded once, on inputs where its terms cancel, so that a regrouping
+    moves the float32 rounding of what is left:
+    - forward noising, sqrt(ab) * z0 + sqrt(1 - ab) * noise, at t = 700
+      with noise ~ -sqrt(ab) * z0 / sqrt(1 - ab);
+    - the DDIM step, sqrt(ab_prev) * (z - sqrt(1 - ab) * eps) / sqrt(ab)
+      + sqrt(1 - ab_prev) * eps, from 700 to 0 with z ~ sqrt(1 - ab) * eps;
+    - guidance, (c - u) * s + u. At s = 1 on u = +-2**60 and c = +-1 that
+      is (c - u) + u = 0 everywhere, where s * c + (1 - s) * u gives c.
     """
     sched = make_schedule(1000, 50)
     rng = np.random.default_rng(13)
@@ -193,14 +199,26 @@ def check_ddim(guidance_fn=cfg_combine) -> CheckResult:
         for _ in range(20):
             z0 = rng.standard_normal((1, 4, 16, 16)).astype(np.float32)
             eps = rng.standard_normal(z0.shape).astype(np.float32)
-            z_t = forward_noise(z0, t, eps, sched)
-            back = ddim_step(z_t, eps, t, 0, sched)
+            z_t = noise_fn(z0, t, eps, sched)
+            back = step_fn(z_t, eps, t, 0, sched)
             max_dev = max(max_dev, float(np.max(np.abs(back - z0))))
+    ab, ab_prev = sched.alpha_bar(700), sched.alpha_bar(0)
+    z0 = rng.standard_normal((1, 4, 50, 50)).astype(np.float32)
+    noise = (-np.sqrt(ab / (1.0 - ab)) * z0.astype(np.float64)).astype(np.float32)
+    z0_64, noise64 = z0.astype(np.float64), noise.astype(np.float64)
+    ref = (np.sqrt(ab) * z0_64 + np.sqrt(1.0 - ab) * noise64).astype(np.float32)
+    exact_dev = float(np.max(np.abs(noise_fn(z0, 700, noise, sched) - ref)))
+    eps = rng.standard_normal(z0.shape).astype(np.float32)
+    z = (np.sqrt(1.0 - ab) * eps.astype(np.float64)).astype(np.float32)
+    z64, eps64 = z.astype(np.float64), eps.astype(np.float64)
+    ref = ((z64 - np.sqrt(1.0 - ab) * eps64) / np.sqrt(ab) * np.sqrt(ab_prev)
+           + np.sqrt(1.0 - ab_prev) * eps64).astype(np.float32)
+    exact_dev = max(exact_dev, float(np.max(np.abs(step_fn(z, eps, 700, 0, sched) - ref))))
     u = rng.choice([-(2.0**60), 2.0**60], (1, 4, 16, 16)).astype(np.float32)
     c = rng.choice([-1.0, 1.0], u.shape).astype(np.float32)
     u64, scale = u.astype(np.float64), 1.0
     ref = ((c.astype(np.float64) - u64) * scale + u64).astype(np.float32)
-    exact_dev = float(np.max(np.abs(guidance_fn(u, c, scale) - ref)))
+    exact_dev = max(exact_dev, float(np.max(np.abs(guidance_fn(u, c, scale) - ref))))
     return CheckResult("ddim", max_dev < 1e-4 and exact_dev == 0.0, max(max_dev, exact_dev))
 
 
@@ -287,8 +305,13 @@ def check_patch(average_fn=reconstruct_average) -> CheckResult:
     return CheckResult("patch", max_dev == 0.0, max_dev)
 
 
-def check_blend() -> CheckResult:
-    """Cosine-decay constants: boundaries, hand value at T/2, monotonicity."""
+def check_blend(blend_fn=detail_blend) -> CheckResult:
+    """Cosine-decay constants: boundaries, hand value at T/2, monotonicity;
+    and the blend agrees bitwise with its documented grouping,
+    c * anchor + (1 - c) * current in float64 rounded once. At t = T, where
+    c = 1, on anchors of +-1 and currents of +-2**60 that is the anchor,
+    where current + c * (anchor - current) loses it to the rounding at 2**60.
+    """
     total = 1000
     max_dev = max(
         abs(float(decay_factor(0, total, 2.0))),
@@ -300,7 +323,16 @@ def check_blend() -> CheckResult:
     for alpha in (0.5, 1.0, 2.0, 3.0):
         cs = decay_factor(ts, total, alpha)
         monotone = monotone and bool(np.all(np.diff(cs) >= 0.0))
-    return CheckResult("blend", monotone and max_dev < 1e-6, max_dev)
+    rng = np.random.default_rng(53)
+    anchor = rng.choice([-1.0, 1.0], (1, 4, 50, 50)).astype(np.float32)
+    current = rng.choice([-(2.0**60), 2.0**60], anchor.shape).astype(np.float32)
+    c = decay_factor(total, total, 2.0)
+    ref = c * anchor.astype(np.float64) + (1.0 - c) * current.astype(np.float64)
+    ref = ref.astype(np.float32)
+    got = blend_fn(anchor, current, total, 2.0, make_schedule(total, 50))
+    exact_dev = float(np.max(np.abs(got - ref)))
+    return CheckResult("blend", monotone and max_dev < 1e-6 and exact_dev == 0.0,
+                       max(max_dev, exact_dev))
 
 
 def _mutated_fusion(g, l, blur):
@@ -322,6 +354,31 @@ def _weighted_guidance(eps_uncond, eps_cond, scale):
     # guidance as a weighted sum: s * c + (1 - s) * u
     return (scale * eps_cond.astype(np.float64)
             + (1.0 - scale) * eps_uncond.astype(np.float64)).astype(np.float32)
+
+
+def _factored_noise(z0, t, noise, sched):
+    # sqrt(ab) factored out: sqrt(ab) * (z0 + sqrt((1 - ab) / ab) * noise)
+    ab = sched.alpha_bar(t)
+    out = np.sqrt(ab) * (as_f32(z0).astype(np.float64)
+                         + np.sqrt((1.0 - ab) / ab) * as_f32(noise).astype(np.float64))
+    return out.astype(np.float32)
+
+
+def _coefficient_ddim_step(z_t, eps, t, t_prev, sched):
+    # the step as one coefficient per input:
+    # sqrt(ab_prev / ab) * z + (sqrt(1 - ab_prev) - sqrt(ab_prev * (1 - ab) / ab)) * eps
+    ab, ab_prev = sched.alpha_bar(t), sched.alpha_bar(t_prev)
+    eps_coef = np.sqrt(1.0 - ab_prev) - np.sqrt(ab_prev * (1.0 - ab) / ab)
+    out = (np.sqrt(ab_prev / ab) * as_f32(z_t).astype(np.float64)
+           + eps_coef * as_f32(eps).astype(np.float64))
+    return out.astype(np.float32)
+
+
+def _interpolated_blend(anchor, current, t, alpha, sched):
+    # the blend as an interpolation: current + c * (anchor - current)
+    c = decay_factor(t, sched.total_steps, alpha)
+    cur = as_f32(current).astype(np.float64)
+    return (cur + c * (as_f32(anchor).astype(np.float64) - cur)).astype(np.float32)
 
 
 def _unscaled_attention(x, w):
@@ -362,6 +419,9 @@ MUTATIONS = {
     "conv-tap-order": ("conv", partial(check_conv, conv_fn=_reversed_tap_conv)),
     "cfg-order": ("ddim", partial(check_ddim, guidance_fn=_weighted_guidance)),
     "fusion-grouping": ("fusion", partial(check_fusion, fusion_fn=_regrouped_fusion)),
+    "noise-grouping": ("ddim", partial(check_ddim, noise_fn=_factored_noise)),
+    "ddim-grouping": ("ddim", partial(check_ddim, step_fn=_coefficient_ddim_step)),
+    "blend-grouping": ("blend", partial(check_blend, blend_fn=_interpolated_blend)),
 }
 
 

@@ -208,14 +208,12 @@ def lowpass(x: np.ndarray, mode: str) -> np.ndarray:
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    m = as_f32(m)
-    if m.ndim != 2:
-        raise ValueError(f"input must be 2-D, got shape {m.shape}")
-    z = m.astype(np.float64)  # the one float64 buffer, updated in place
-    z -= z.max(axis=1, keepdims=True)
+    """Softmax over the last axis of a stack of rows, with per-row max
+    subtraction for stability."""
+    z = as_f32(m).astype(np.float64)  # the one float64 buffer, updated in place
+    z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
     return z.astype(np.float32)
 
 

@@ -63,6 +63,23 @@ class TestSelfAttention:
         with pytest.raises(ValueError):
             self_attention(np.zeros((1, 3, 2, 2)), random_weights(4))
 
+    # every matrix must be [dim, dim], dim being w_q's row count; the error
+    # starts with the field that breaks it
+    @pytest.mark.parametrize("field", ["w_q", "w_k", "w_v", "w_o"])
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (4, 4, 4)])
+    def test_weights_validation(self, field, shape):
+        mats = {name: np.eye(4) for name in ("w_q", "w_k", "w_v", "w_o")}
+        mats[field] = np.ones(shape)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            AttentionWeights(**mats)
+
+    @pytest.mark.parametrize("field", ["w_k", "w_v", "w_o"])
+    def test_weights_validation_size_of_w_q(self, field):
+        mats = {name: np.eye(4) for name in ("w_q", "w_k", "w_v", "w_o")}
+        mats[field] = np.eye(3)
+        with pytest.raises(ValueError, match=f"^{field} must be 4x4"):
+            AttentionWeights(**mats)
+
     # the level-8 global map (1024 tokens) and its 225-patch fusion stack
     @pytest.mark.parametrize("shape", [(1, 32, 32, 32), (225, 32, 4, 4)])
     @pytest.mark.parametrize("scale", [0.3, 1.0])

@@ -322,10 +322,31 @@ class TestOracle:
         assert main(["oracle", "--check", check, "--mutate", "fusion-grouping"]) == 1
         assert "check_fusion=fail" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("check", ["all", "blend"])
+    def test_noise_grouping_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "noise-grouping"]) == 1
+        assert "check_ddim=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["all", "fusion"])
+    def test_ddim_grouping_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "ddim-grouping"]) == 1
+        assert "check_ddim=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["all", "ddim"])
+    def test_blend_grouping_mutation_detected(self, capsys, check):
+        assert main(["oracle", "--check", check, "--mutate", "blend-grouping"]) == 1
+        assert "check_blend=fail" in capsys.readouterr().out
+
     def test_every_mutation_has_a_test(self):
         tested = {name.removeprefix("test_").removesuffix("_mutation_detected").replace("_", "-")
                   for name in dir(self) if name.endswith("_mutation_detected")}
         assert tested == set(oracle.MUTATIONS)
+
+    def test_every_mutation_in_readme(self):
+        # the CLI block lists the names: `--mutate <name>  # or: <name>, ...`
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        first, others = re.search(r"--mutate (\S+)\s+# or: (.*)", readme).groups()
+        assert {first, *others.split(", ")} == set(oracle.MUTATIONS)
 
 
 class TestFileio:

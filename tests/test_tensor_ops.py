@@ -254,6 +254,15 @@ class TestSoftmaxRows:
             assert np.ptp(m, axis=1).min() > 50.0  # the smallest weights flush to zero
         assert np.array_equal(softmax_rows(m), reference_softmax_rows(m))
 
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 40.0])
+    def test_stack_equals_rows(self, scale):
+        # a [maps, rows, T] stack, as attention passes its score tile, runs
+        # over the last axis: each row as if it came alone
+        rng = np.random.default_rng(17)
+        m = (rng.standard_normal((3, 64, 257)) * scale).astype(np.float32)
+        rows = np.stack([softmax_rows(row[None])[0] for row in m.reshape(-1, 257)])
+        assert np.array_equal(softmax_rows(m), rows.reshape(m.shape))
+
 
 class TestLinear:
     def test_identity(self):
